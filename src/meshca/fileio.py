@@ -81,9 +81,14 @@ def assignment_to_dict(ca: ChannelAssignment) -> dict:
 def assignment_from_dict(data: dict) -> ChannelAssignment:
     ca: ChannelAssignment = {}
     for key, ch in data.items():
+        # bool is an int subclass, but true/false are not channel numbers
+        if isinstance(ch, bool) or not isinstance(ch, int):
+            raise ValidationError(
+                f"malformed assignment entry {key!r}: channel {ch!r} is not an integer"
+            )
         try:
             node_s, radio_s = key.split(":")
-            ca[(int(node_s), int(radio_s))] = int(ch)
+            ca[(int(node_s), int(radio_s))] = ch
         except (ValueError, AttributeError) as exc:
             raise ValidationError(
                 f"malformed assignment entry {key!r}: {ch!r}"

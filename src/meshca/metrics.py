@@ -14,6 +14,12 @@ Three interchangeable scoring functions:
 
 All are pure functions of their inputs; identical inputs give bit-identical
 results.
+
+Every metric depends on an assignment only through its per-node channel
+histogram h[v][ch], and an adjacent pair (u, v) has h[u][ch] * h[v][ch]
+realized links on channel ch. LinkState scores from those link counts and
+lets the optimizer retune one radio at a time, updating only the pairs and
+paths that touch the radio's node.
 """
 
 from __future__ import annotations
@@ -21,16 +27,21 @@ from __future__ import annotations
 import itertools
 import statistics
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 from .errors import ValidationError
 from .topology import (
     ChannelAssignment,
+    RadioId,
     Topology,
+    adjacent_pairs,
     check_assignment,
-    conflict_graph,
+    compile_topology,
+    links_connected,
+    node_histograms,
+    pair_links,
     potential_neighbors,
-    realized_links,
 )
 
 MINIMIZE = "minimize"
@@ -64,8 +75,7 @@ def better(a: IemScore, b: IemScore) -> bool:
 
 def tid(topo: Topology, ca: ChannelAssignment) -> IemScore:
     """Sum of interference degrees of all realized links."""
-    cg = conflict_graph(topo, ca)
-    return IemScore("tid", float(sum(cg.degrees)), MINIMIZE)
+    return LinkState(topo, ca, "tid").score()
 
 
 def channel_loads(topo: Topology, ca: ChannelAssignment) -> list[float]:
@@ -75,24 +85,13 @@ def channel_loads(topo: Topology, ca: ChannelAssignment) -> list[float]:
     load over its links (1/k each), modelling equal-probability selection
     among parallel links. Sum of loads equals the number of linked pairs.
     """
-    check_assignment(topo, ca)
-    loads = [0.0] * topo.channel_count
-    per_pair: dict[tuple[int, int], list[int]] = {}
-    for link in realized_links(topo, ca):
-        per_pair.setdefault(link.nodes(), []).append(link.channel)
-    for pair in sorted(per_pair):
-        chans = per_pair[pair]
-        share = 1.0 / len(chans)
-        for ch in chans:
-            loads[ch] += share
-    return loads
+    state = LinkState(topo, ca)
+    return _channel_loads(state.links, state.k)
 
 
 def cdal_cost(topo: Topology, ca: ChannelAssignment) -> IemScore:
     """Population standard deviation of the channel loads (zero-load channels count)."""
-    loads = channel_loads(topo, ca)
-    # sorting stabilizes float summation so channel relabelings are bit-exact
-    return IemScore("cdal", statistics.pstdev(sorted(loads)), MINIMIZE)
+    return LinkState(topo, ca, "cdal").score()
 
 
 @dataclass(frozen=True)
@@ -173,13 +172,7 @@ def cxls_wt(topo: Topology, ca: ChannelAssignment, x: int | None = None) -> IemS
 
     Networks too small to contain any x-hop path score 0 (empty sum).
     """
-    check_assignment(topo, ca)
-    if x is None:
-        x = topo.interference_x
-    value = 0.0
-    for path in enumerate_xls(topo, x):
-        value += xls_weight(build_xls(topo, ca, path))
-    return IemScore("cxls", value, MAXIMIZE)
+    return LinkState(topo, ca, "cxls", x).score()
 
 
 def score(
@@ -206,3 +199,216 @@ def canonical_metric(metric: str) -> str:
 def all_scores(topo: Topology, ca: ChannelAssignment, x: int | None = None) -> dict[str, float]:
     """Convenience: value of every metric for one assignment."""
     return {name: score(name, topo, ca, x).value for name in METRICS}
+
+
+# ---------------------------------------------------------------------------
+# Scoring from the per-node channel histogram
+# ---------------------------------------------------------------------------
+
+_DIRECTIONS = {"tid": MINIMIZE, "cdal": MINIMIZE, "cxls": MAXIMIZE}
+
+
+@lru_cache(maxsize=None)
+def xls_paths(
+    topo: Topology, x: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The paths of enumerate_xls in compiled form.
+
+    Returns (hops, through): hops[i] lists the adjacent-pair indices of path
+    i's hops, and through[v] the indices of the paths that pass through node
+    index v (the paths whose weight a retune of node v can change).
+    """
+    inst = compile_topology(topo)
+    pair_index = {pair: p for p, pair in enumerate(adjacent_pairs(topo))}
+    paths = enumerate_xls(topo, x)
+    hops = tuple(
+        tuple(pair_index[(a, b) if a < b else (b, a)] for a, b in zip(path, path[1:]))
+        for path in paths
+    )
+    through: list[list[int]] = [[] for _ in inst.ids]
+    for i, path in enumerate(paths):
+        for node in path:
+            through[inst.index[node]].append(i)
+    return hops, tuple(tuple(t) for t in through)
+
+
+def _tid_count(links: list[list[int]], reach: tuple[tuple[int, ...], ...]) -> int:
+    """tid as an integer quadratic form of the link counts.
+
+    Each of the L[ch][p] links of pair p on channel ch conflicts with the
+    other L[ch][p] - 1 links of its pair and with every link on ch of the
+    pairs within reach of p.
+    """
+    total = 0
+    for per_channel in links:
+        get = per_channel.__getitem__
+        for p, n in enumerate(per_channel):
+            if n:
+                total += n * (n - 1 + sum(map(get, reach[p])))
+    return total
+
+
+def _channel_loads(links: list[list[int]], k: list[int]) -> list[float]:
+    # shares are added one link at a time in pair order, not multiplied, so
+    # each load is the same float sum as adding up the realized links
+    shares = [1.0 / n if n else 0.0 for n in k]
+    loads = []
+    for per_channel in links:
+        load = 0.0
+        for share, n in zip(shares, per_channel):
+            for _ in range(n):
+                load += share
+        loads.append(load)
+    return loads
+
+
+def path_weight(links: list[list[int]], k: list[int], hops: tuple[int, ...]) -> float:
+    """xls_weight of one path, in closed form.
+
+    Over the prod(k) per-hop link choices, hop i is on channel ch in
+    L_i,ch of them and each other hop j avoids ch in k_j - L_j,ch, so the
+    uniquely-channeled hops total sum_i sum_ch L_i,ch * prod_{j!=i}(k_j - L_j,ch).
+    That integer over prod(k) is the enumeration's own total / count.
+    """
+    count = 1
+    for p in hops:
+        count *= k[p]
+    if not count:
+        return 0.0
+    total = 0
+    for per_channel in links:
+        on = [per_channel[p] for p in hops]
+        for i, n in enumerate(on):
+            if n:
+                term = n
+                for j, p in enumerate(hops):
+                    if j != i:
+                        term *= k[p] - on[j]
+                total += term
+    return total / count
+
+
+class LinkState:
+    """One assignment as a per-node channel histogram, scored incrementally.
+
+    Holds the assignment (ca), its histogram (h, see node_histograms), the
+    realized-link counts derived from it (links[ch][p] and k[p], see
+    pair_links) and the value of one metric (none when metric is None).
+    retune() moves one radio and touches only the pairs incident to its
+    node: tid changes by an exact integer delta, the cxls weights of the
+    paths through the node are recomputed (and summed in path order when
+    scored), and cdal is recomputed from the link counts when scored. Every
+    value is bit-identical to a full recompute. Connectivity is rechecked
+    only after an incident pair lost its last link or gained its first.
+    """
+
+    def __init__(
+        self,
+        topo: Topology,
+        ca: ChannelAssignment,
+        metric: str | None = None,
+        x: int | None = None,
+    ):
+        check_assignment(topo, ca)
+        self.inst = compile_topology(topo)
+        self.metric = None if metric is None else canonical_metric(metric)
+        if self.metric == "cxls":
+            self._hops, self._through = xls_paths(
+                topo, topo.interference_x if x is None else x
+            )
+        self.load(ca)
+
+    def load(self, ca: ChannelAssignment) -> None:
+        """Replace the whole assignment and rescore it in full.
+
+        ca is not validated and is copied: a previous state.ca stays as it was.
+        """
+        self.ca = dict(ca)
+        self.h = node_histograms(self.inst, ca)
+        self.links, self.k = pair_links(self.inst, self.h)
+        self._unlinked = self.k.count(0)
+        self._connected: bool | None = None
+        if self.metric == "tid":
+            self._tid = _tid_count(self.links, self.inst.reach)
+        elif self.metric == "cxls":
+            self._weights = [path_weight(self.links, self.k, hops) for hops in self._hops]
+            self._dirty: set[int] = set()
+
+    def retune(self, radio: RadioId, ch: int) -> None:
+        """Move one radio to channel ch."""
+        old = self.ca[radio]
+        if ch == old:
+            return
+        self.ca[radio] = ch
+        v = self.inst.index[radio[0]]
+        incident = self.inst.incident[v]
+        h, k = self.h, self.k
+        from_links, to_links = self.links[old], self.links[ch]
+        if self.metric == "tid":
+            self._tid += self._tid_delta(incident, from_links, old, -1)
+            self._tid += self._tid_delta(incident, to_links, ch, 1)
+        elif self.metric == "cxls":
+            self._dirty.add(v)
+        h[v][old] -= 1
+        h[v][ch] += 1
+        lost = gained = False
+        for p, w in incident:
+            lose, gain = h[w][old], h[w][ch]
+            if lose != gain:
+                before = k[p]
+                after = k[p] = before - lose + gain
+                if not after:
+                    lost = True
+                    self._unlinked += 1
+                elif not before:
+                    gained = True
+                    self._unlinked -= 1
+            from_links[p] -= lose
+            to_links[p] += gain
+        if (lost and self._connected) or (gained and self._connected is False):
+            self._connected = None
+
+    def _tid_delta(self, incident, per_channel: list[int], ch: int, sign: int) -> int:
+        """tid change on channel ch when each incident pair p gets d_p = sign * h[w][ch] links more.
+
+        The pairs of one node are pairwise in reach, so the quadratic form
+        changes by sum_p d_p * (2 * (L_p + N_p) - 1) + (sum_p d_p)^2, where
+        N_p counts the links on ch of the pairs within reach of p.
+        """
+        get = per_channel.__getitem__
+        reach = self.inst.reach
+        h = self.h
+        total = dsum = 0
+        for p, w in incident:
+            d = sign * h[w][ch]
+            if d:
+                total += d * (2 * (per_channel[p] + sum(map(get, reach[p]))) - 1)
+                dsum += d
+        return total + dsum * dsum
+
+    def connected(self) -> bool:
+        """The global rule: linked pairs connect every node."""
+        if self._connected is None:
+            self._connected = links_connected(self.inst, self.k)
+        return self._connected
+
+    def all_pairs_linked(self) -> bool:
+        """The per-pair rule: every adjacent pair keeps a realized link."""
+        return not self._unlinked
+
+    def score(self) -> IemScore:
+        """The tracked metric's score of the current assignment."""
+        if self.metric == "tid":
+            value = float(self._tid)
+        elif self.metric == "cdal":
+            # sorting stabilizes float summation so channel relabelings are bit-exact
+            value = statistics.pstdev(sorted(_channel_loads(self.links, self.k)))
+        else:
+            if self._dirty:
+                stale = set().union(*(self._through[v] for v in self._dirty))
+                for i in stale:
+                    self._weights[i] = path_weight(self.links, self.k, self._hops[i])
+                self._dirty.clear()
+            # added in path order, as a full recompute does
+            value = reduce(add, self._weights, 0.0)
+        return IemScore(self.metric, value, _DIRECTIONS[self.metric])

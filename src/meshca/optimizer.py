@@ -13,6 +13,11 @@ Four schemes share one pluggable objective (any metric from meshca.metrics):
 Every optimization step is non-worsening, so for one (topology, metric,
 seed) the final scores satisfy ho >= ko >= pio in the metric's direction by
 construction. All schemes are deterministic given their inputs.
+
+Each call validates its assignment once and keeps it in a metrics.LinkState:
+a candidate retune updates only the link counts of the radio's node and is
+scored and checked for feasibility from them, with the same values a full
+rescore gives.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ValidationError
-from .metrics import MAXIMIZE, IemScore, better, canonical_metric, score
+from .metrics import MAXIMIZE, IemScore, LinkState, better, canonical_metric, score
 from .topology import (
     ChannelAssignment,
     Topology,
@@ -31,9 +36,7 @@ from .topology import (
     check_assignment,
     check_topology,
     conflict_graph,
-    is_ca_connected,
     potential_neighbors,
-    preserves_all_pairs,
     radios,
 )
 
@@ -100,10 +103,10 @@ class OptimizationTrace:
         return [self.initial_score] + [r.score for r in self.records]
 
 
-def _rule_ok(topo: Topology, ca: ChannelAssignment, rule: str) -> bool:
+def _state_ok(state: LinkState, rule: str) -> bool:
     if rule == "per-pair":
-        return preserves_all_pairs(topo, ca)
-    return is_ca_connected(topo, ca)
+        return state.all_pairs_linked()
+    return state.connected()
 
 
 def _count_moves(old: ChannelAssignment, new: ChannelAssignment) -> int:
@@ -122,34 +125,32 @@ def initial_assignment(
     unsatisfiable rule is flagged, never raised.
     """
     c = topo.channel_count
-    ca: ChannelAssignment = {(v, r): (v + r) % c for (v, r) in radios(topo)}
-    ca, feasible = _repair(topo, ca, connectivity_rule)
+    state = LinkState(topo, {(v, r): (v + r) % c for (v, r) in radios(topo)})
+    feasible = _repair(topo, state, connectivity_rule)
     if seed > 0:
         rng = random.Random(seed)
         rlist = radios(topo)
         for _ in range(len(rlist)):
             radio = rlist[rng.randrange(len(rlist))]
             new_ch = rng.randrange(c)
-            old_ch = ca[radio]
+            old_ch = state.ca[radio]
             if new_ch == old_ch:
                 continue
-            ca[radio] = new_ch
-            if _rule_ok(topo, ca, connectivity_rule):
+            state.retune(radio, new_ch)
+            if _state_ok(state, connectivity_rule):
                 feasible = True
             else:
-                ca[radio] = old_ch
-    return ca, feasible
+                state.retune(radio, old_ch)
+    return state.ca, feasible
 
 
-def _repair(
-    topo: Topology, ca: ChannelAssignment, rule: str
-) -> tuple[ChannelAssignment, bool]:
-    """Best-effort single repair pass toward the connectivity rule."""
-    ca = dict(ca)
-    if _rule_ok(topo, ca, rule):
-        return ca, True
+def _repair(topo: Topology, state: LinkState, rule: str) -> bool:
+    """Best-effort single repair pass toward the connectivity rule, in place."""
+    if _state_ok(state, rule):
+        return True
     m = topo.radios_per_node
     nbrs = potential_neighbors(topo)
+    ca = state.ca
 
     def have_link(u: int, v: int) -> bool:
         chans_u = {ca[(u, r)] for r in range(m)}
@@ -170,7 +171,7 @@ def _repair(
                     continue
                 seen.add(v)
                 if not have_link(u, v):
-                    ca[(v, 0)] = ca[(u, 0)]
+                    state.retune((v, 0), ca[(u, 0)])
                 queue.append(v)
 
     if rule == "per-pair":
@@ -179,9 +180,9 @@ def _repair(
             if not have_link(u, v):
                 idx = retune_idx.get(v, 0) % m
                 retune_idx[v] = idx + 1
-                ca[(v, idx)] = ca[(u, 0)]
+                state.retune((v, idx), ca[(u, 0)])
 
-    return ca, _rule_ok(topo, ca, rule)
+    return _state_ok(state, rule)
 
 
 def improve_sweep(
@@ -200,30 +201,31 @@ def improve_sweep(
     precondition) a feasibility-restoring retune is taken only when it is
     score-neutral or better. Returns (assignment, improved).
     """
-    work = dict(ca)
-    cur_feasible = _rule_ok(topo, work, connectivity_rule)
-    cur_score = score(metric, topo, work, x)
+    state = LinkState(topo, ca, metric, x)
+    cur_feasible = _state_ok(state, connectivity_rule)
+    cur_score = state.score()
     improved = False
     for radio in order:
-        cur_ch = work[radio]
+        cur_ch = state.ca[radio]
         best_ch = cur_ch if cur_feasible else None
         best_score = cur_score if cur_feasible else None
         for ch in range(topo.channel_count):
             if ch == cur_ch:
                 continue
-            work[radio] = ch
-            if _rule_ok(topo, work, connectivity_rule):
-                cand = score(metric, topo, work, x)
+            state.retune(radio, ch)
+            if _state_ok(state, connectivity_rule):
+                cand = state.score()
                 if not better(cur_score, cand):  # never worsen the score
                     if best_score is None or better(cand, best_score):
                         best_ch, best_score = ch, cand
-            work[radio] = cur_ch
         if best_ch is not None and best_ch != cur_ch:
-            work[radio] = best_ch
+            state.retune(radio, best_ch)
             cur_score = best_score
             cur_feasible = True
             improved = True
-    return work, improved
+        else:
+            state.retune(radio, cur_ch)
+    return state.ca, improved
 
 
 def node_interference(topo: Topology, ca: ChannelAssignment) -> dict[int, int]:
@@ -277,14 +279,14 @@ def rci_mitigate(
     Duplicates with no acceptable alternative stay put. Never increases the
     co-located duplicate count and never worsens the score.
     """
-    work = dict(ca)
+    state = LinkState(topo, ca, metric, x)
     m = topo.radios_per_node
     c = topo.channel_count
-    cur_score = score(metric, topo, work, x)
+    cur_score = state.score()
     for n in sorted(nd.id for nd in topo.nodes):
         stuck: set[int] = set()
         while True:
-            node_chans = [work[(n, r)] for r in range(m)]
+            node_chans = [state.ca[(n, r)] for r in range(m)]
             dup = None
             seen: set[int] = set()
             for r in range(m):
@@ -297,23 +299,23 @@ def rci_mitigate(
             used = set(node_chans)
             best_ch = None
             best_score = None
-            old_ch = work[(n, dup)]
+            old_ch = node_chans[dup]
             for ch in range(c):
                 if ch in used:
                     continue
-                work[(n, dup)] = ch
-                if _rule_ok(topo, work, connectivity_rule):
-                    cand = score(metric, topo, work, x)
+                state.retune((n, dup), ch)
+                if _state_ok(state, connectivity_rule):
+                    cand = state.score()
                     if not better(cur_score, cand):  # candidate not worse
                         if best_score is None or better(cand, best_score):
                             best_ch, best_score = ch, cand
-                work[(n, dup)] = old_ch
             if best_ch is None:
                 stuck.add(dup)
+                state.retune((n, dup), old_ch)
             else:
-                work[(n, dup)] = best_ch
+                state.retune((n, dup), best_ch)
                 cur_score = best_score
-    return work
+    return state.ca
 
 
 def bio_assign(
@@ -332,18 +334,20 @@ def bio_assign(
         raise BudgetExceededError(space, cfg.bio_budget)
     best = best_score = None
     fallback = fallback_score = None
-    work: ChannelAssignment = {}
+    work: ChannelAssignment = dict.fromkeys(rlist, 0)
+    state = LinkState(topo, work, cfg.metric, cfg.x)
     for combo in itertools.product(range(topo.channel_count), repeat=len(rlist)):
         for radio, ch in zip(rlist, combo):
             work[radio] = ch
-        if _rule_ok(topo, work, cfg.connectivity_rule):
-            s = score(cfg.metric, topo, work, cfg.x)
+        state.load(work)
+        if _state_ok(state, cfg.connectivity_rule):
+            s = state.score()
             if best_score is None or better(s, best_score):
-                best, best_score = dict(work), s
+                best, best_score = state.ca, s
         elif best is None:  # fallback only matters while nothing feasible exists
-            s = score(cfg.metric, topo, work, cfg.x)
+            s = state.score()
             if fallback_score is None or better(s, fallback_score):
-                fallback, fallback_score = dict(work), s
+                fallback, fallback_score = state.ca, s
     if best is not None:
         return best, best_score, True
     return fallback, fallback_score, False
@@ -418,7 +422,7 @@ def run_scheme(
         sweep_to_fixpoint(hot_first_order, cfg.max_iterations - used)
 
     final = score(metric, topo, ca, cfg.x)
-    trace.feasible = _rule_ok(topo, ca, cfg.connectivity_rule)
+    trace.feasible = _state_ok(LinkState(topo, ca), cfg.connectivity_rule)
     _check_monotone(trace)
     return ca, final, trace
 

@@ -1,17 +1,17 @@
 """Mesh network model: nodes, radios, ranges, links and the conflict graph.
 
 A Topology is immutable and hashable; geometry-derived structures (adjacent
-node pairs, interference reach between pairs) are cached per topology so that
-repeated scoring of candidate channel assignments stays cheap.
+node pairs, interference reach between pairs, the index-based
+CompiledTopology) are cached per topology so that repeated scoring of
+candidate channel assignments stays cheap.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     ConnectivityError,
@@ -254,6 +254,46 @@ def interfering_pairs(topo: Topology) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(h) for h in hits)
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledTopology:
+    """Index-based form of a topology, built once and reused for every assignment.
+
+    Nodes are numbered 0..n-1 in topology order (ids[i], index[id]).
+    pairs[p] is adjacent_pairs(topo)[p] as node indices, and incident[i]
+    lists (pair index, other node index) for every adjacent pair of node i,
+    in pair order. reach is interfering_pairs(topo) itself, built on first use.
+    """
+
+    topo: Topology
+    ids: tuple[int, ...]
+    index: dict[int, int]
+    pairs: tuple[tuple[int, int], ...]
+    incident: tuple[tuple[tuple[int, int], ...], ...]
+
+    @cached_property
+    def reach(self) -> tuple[tuple[int, ...], ...]:
+        return interfering_pairs(self.topo)
+
+
+@lru_cache(maxsize=None)
+def compile_topology(topo: Topology) -> CompiledTopology:
+    """The topology's CompiledTopology, built once and cached like its geometry."""
+    ids = topo.node_ids()
+    index = {node: i for i, node in enumerate(ids)}
+    pairs = tuple((index[u], index[v]) for u, v in adjacent_pairs(topo))
+    incident: list[list[tuple[int, int]]] = [[] for _ in ids]
+    for p, (i, j) in enumerate(pairs):
+        incident[i].append((p, j))
+        incident[j].append((p, i))
+    return CompiledTopology(
+        topo=topo,
+        ids=ids,
+        index=index,
+        pairs=pairs,
+        incident=tuple(tuple(inc) for inc in incident),
+    )
+
+
 def is_potential_connected(topo: Topology) -> bool:
     """Connectivity of the potential-communication graph (range only)."""
     nbrs = potential_neighbors(topo)
@@ -310,26 +350,6 @@ def realized_links(topo: Topology, ca: ChannelAssignment) -> list[RealizedLink]:
     return out
 
 
-def pair_link_counts(
-    topo: Topology, ca: ChannelAssignment
-) -> dict[tuple[int, int], list[int]]:
-    """Per adjacent pair, realized-link count on each channel (no validation)."""
-    m = topo.radios_per_node
-    c = topo.channel_count
-    # per-node channel histogram
-    hist: dict[int, list[int]] = {}
-    for n in topo.nodes:
-        h = [0] * c
-        for r in range(m):
-            h[ca[(n.id, r)]] += 1
-        hist[n.id] = h
-    counts = {}
-    for u, v in adjacent_pairs(topo):
-        hu, hv = hist[u], hist[v]
-        counts[(u, v)] = [hu[ch] * hv[ch] for ch in range(c)]
-    return counts
-
-
 def conflict_graph(topo: Topology, ca: ChannelAssignment) -> ConflictGraph:
     """Build the conflict graph of all realized links.
 
@@ -365,25 +385,70 @@ def conflict_graph(topo: Topology, ca: ChannelAssignment) -> ConflictGraph:
     )
 
 
+def node_histograms(inst: CompiledTopology, ca: ChannelAssignment) -> list[list[int]]:
+    """h[i][ch]: how many radios of node inst.ids[i] are tuned to channel ch.
+
+    Every metric and both connectivity rules depend on an assignment only
+    through this histogram. No validation.
+    """
+    m = inst.topo.radios_per_node
+    c = inst.topo.channel_count
+    hist = []
+    for node in inst.ids:
+        h = [0] * c
+        for r in range(m):
+            h[ca[(node, r)]] += 1
+        hist.append(h)
+    return hist
+
+
+def pair_links(
+    inst: CompiledTopology, hist: list[list[int]]
+) -> tuple[list[list[int]], list[int]]:
+    """Realized-link counts derived from a node histogram.
+
+    Returns (L, K): L[ch][p] = h[u][ch] * h[v][ch] links on channel ch for
+    adjacent pair p = (u, v), and K[p] = sum over channels of L[ch][p].
+    """
+    links = [
+        [hist[u][ch] * hist[v][ch] for u, v in inst.pairs]
+        for ch in range(inst.topo.channel_count)
+    ]
+    return links, [sum(per_channel) for per_channel in zip(*links)]
+
+
+def links_connected(inst: CompiledTopology, k: list[int]) -> bool:
+    """True iff the adjacent pairs with k[p] > 0 realized links connect all nodes."""
+    n = len(inst.ids)
+    if n == 0:
+        return True
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        u = stack.pop()
+        for p, w in inst.incident[u]:
+            if k[p] and not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == n
+
+
 def linked_pairs(topo: Topology, ca: ChannelAssignment) -> list[tuple[int, int]]:
     """Adjacent node pairs that have at least one realized link."""
-    m = topo.radios_per_node
-    out = []
-    for u, v in adjacent_pairs(topo):
-        chans_u = {ca[(u, r)] for r in range(m)}
-        if any(ca[(v, r)] in chans_u for r in range(m)):
-            out.append((u, v))
-    return out
+    inst = compile_topology(topo)
+    _, k = pair_links(inst, node_histograms(inst, ca))
+    return [pair for pair, links in zip(adjacent_pairs(topo), k) if links]
 
 
 def is_ca_connected(topo: Topology, ca: ChannelAssignment) -> bool:
     """True iff nodes form one component under pairs with >= 1 realized link."""
     check_assignment(topo, ca)
-    nbrs: dict[int, list[int]] = {n.id: [] for n in topo.nodes}
-    for u, v in linked_pairs(topo, ca):
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return _bfs_covers({u: tuple(vs) for u, vs in nbrs.items()}, topo.node_ids())
+    inst = compile_topology(topo)
+    _, k = pair_links(inst, node_histograms(inst, ca))
+    return links_connected(inst, k)
 
 
 def preserves_all_pairs(topo: Topology, ca: ChannelAssignment) -> bool:
@@ -395,16 +460,3 @@ def preserves_all_pairs(topo: Topology, ca: ChannelAssignment) -> bool:
 def uniform_assignment(topo: Topology, channel: int = 0) -> ChannelAssignment:
     """Every radio on one channel; the simplest always-connected assignment."""
     return {radio: channel for radio in radios(topo)}
-
-
-def random_assignment(topo: Topology, rng: random.Random) -> ChannelAssignment:
-    """Uniformly random total assignment (not necessarily connected)."""
-    c = topo.channel_count
-    return {radio: rng.randrange(c) for radio in radios(topo)}
-
-
-def enumerate_assignments(topo: Topology):
-    """Yield every total assignment in lexicographic radio order."""
-    rlist = radios(topo)
-    for combo in itertools.product(range(topo.channel_count), repeat=len(rlist)):
-        yield dict(zip(rlist, combo))

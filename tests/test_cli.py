@@ -136,6 +136,17 @@ class TestScore:
         assert code == 1
         assert "channel 5 out of range for radio 0:0" in err
 
+    @pytest.mark.parametrize("channel", [1.9, True, "2"])
+    def test_non_integer_channel_exit_one(self, line3_m2_files, tmp_path, capsys, channel):
+        ca_path = tmp_path / "ca.json"
+        ca = {f"{n}:{r}": 0 for n in range(3) for r in range(2)}
+        ca["1:1"] = channel
+        ca_path.write_text(json.dumps(ca))
+        code, _, err = run_cli(
+            capsys, "score", "-t", str(line3_m2_files), "-a", str(ca_path))
+        assert code == 1
+        assert "not an integer" in err
+
     def test_missing_radio_named(self, line3_m2_files, tmp_path, capsys):
         ca_path = tmp_path / "ca.json"
         ca_path.write_text(json.dumps({"0:0": 0}))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from meshca import (
@@ -57,6 +59,13 @@ class TestAssignmentRoundTrip:
         path = tmp_path / "ca.json"
         save_assignment(ca, path)
         assert load_assignment(path) == ca
+
+    @pytest.mark.parametrize("channel", [1.9, True, "2"])
+    def test_non_integer_channel_rejected(self, tmp_path, channel):
+        path = tmp_path / "ca.json"
+        path.write_text(json.dumps({"0:0": 0, "0:1": channel}))
+        with pytest.raises(ValidationError, match="not an integer"):
+            load_assignment(path)
 
     def test_malformed_key_rejected(self, tmp_path):
         path = tmp_path / "ca.json"

@@ -22,6 +22,7 @@ from meshca import (
     uniform_assignment,
     xls_weight,
 )
+from meshca.metrics import LinkState, path_weight, xls_paths
 
 E2_CA = {(n, r): r for n in range(3) for r in range(2)}
 
@@ -109,6 +110,18 @@ class TestXlsWeight:
             for path in enumerate_xls(topo, x):
                 w = xls_weight(build_xls(topo, ca, path))
                 assert 0.0 <= w <= x
+
+    def test_closed_form_matches_enumeration(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            topo = make_random_topology(rng, max_nodes=6, max_radios=3, max_channels=4)
+            ca = make_random_assignment(rng, topo)
+            state = LinkState(topo, ca)
+            for x in (1, 2, 3):
+                hops, _ = xls_paths(topo, x)
+                for path, path_hops in zip(enumerate_xls(topo, x), hops):
+                    expected = xls_weight(build_xls(topo, ca, path))
+                    assert path_weight(state.links, state.k, path_hops) == expected
 
     def test_single_radio_degenerate_realization(self):
         # with one radio per node each hop has at most one link, so the mean
