@@ -2,7 +2,8 @@
 
 Core pieces:
 
-* topology  -- grid/random layouts, realized links, conflict graphs
+* topology  -- grid/random layouts, per-node channel histograms, link counts
+               and conflict degrees
 * metrics   -- interchangeable interference scores (tid, cdal, cxls)
 * optimizer -- bio / pio / ko / ho assignment schemes with pluggable metrics
 * estimator -- sklearn-style ChannelAssigner wrapper
@@ -17,7 +18,6 @@ from .errors import (
     ConnectivityError,
     IncompleteAssignmentError,
     MeshCAError,
-    MismatchedFilesError,
     NonGridTopologyError,
     RangeConfigError,
     ValidationError,
@@ -36,17 +36,14 @@ from .metrics import (
     METRICS,
     MINIMIZE,
     IemScore,
-    XLinkSet,
     all_scores,
     better,
-    build_xls,
     cdal_cost,
     channel_loads,
     cxls_wt,
     enumerate_xls,
     score,
     tid,
-    xls_weight,
 )
 from .optimizer import (
     SCHEMES,
@@ -63,7 +60,6 @@ from .optimizer import (
 )
 from .topology import (
     ChannelAssignment,
-    ConflictGraph,
     Node,
     RadioId,
     RealizedLink,
@@ -71,12 +67,10 @@ from .topology import (
     adjacent_pairs,
     check_assignment,
     check_topology,
-    conflict_graph,
     gen_grid,
     gen_random,
     is_ca_connected,
     radios,
-    realized_links,
     uniform_assignment,
 )
 

@@ -26,7 +26,6 @@ from .experiment import (
     write_report_csv,
 )
 from .fileio import (
-    check_files_consistent,
     dump_json,
     load_assignment,
     load_json,
@@ -40,7 +39,7 @@ from .fileio import (
 )
 from .metrics import METRICS, all_scores
 from .optimizer import SCHEMES, SchemeConfig, run_scheme
-from .topology import adjacent_pairs, gen_grid, gen_random
+from .topology import adjacent_pairs, check_assignment, gen_grid, gen_random
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,7 +202,7 @@ def cmd_assign(args) -> int:
 def cmd_score(args) -> int:
     topo = load_topology(args.topology)
     ca = load_assignment(args.assignment)
-    check_files_consistent(topo, ca)
+    check_assignment(topo, ca)
     values = all_scores(topo, ca, args.x)
     if args.json:
         print(json.dumps(
@@ -221,7 +220,7 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     topo = load_topology(args.topology)
     ca = load_assignment(args.assignment)
-    check_files_consistent(topo, ca)
+    check_assignment(topo, ca)
     flows = build_grid_flows(topo)
     report = estimate_performance(topo, ca, flows, args.phy_rate)
     if args.csv:

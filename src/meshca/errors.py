@@ -18,11 +18,7 @@ class ConnectivityError(MeshCAError):
 
 
 class IncompleteAssignmentError(ValidationError):
-    """Channel assignment does not cover every radio, or uses out-of-range channels."""
-
-
-class MismatchedFilesError(ValidationError):
-    """Topology and assignment files are inconsistent with each other."""
+    """Channel assignment does not match the topology's radios, or uses out-of-range channels."""
 
 
 class NonGridTopologyError(ValidationError):

@@ -8,9 +8,11 @@ feature matrix.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .errors import ValidationError
-from .metrics import MAXIMIZE, all_scores, canonical_metric
-from .optimizer import SCHEMES, SchemeConfig, run_scheme
+from .metrics import MAXIMIZE, all_scores
+from .optimizer import SchemeConfig, run_scheme
 from .topology import Topology, check_topology
 
 
@@ -29,15 +31,7 @@ class ChannelAssigner:
         feasible_     whether the connectivity rule is satisfied
     """
 
-    _param_names = (
-        "scheme",
-        "metric",
-        "seed",
-        "max_iterations",
-        "connectivity_rule",
-        "bio_budget",
-        "x",
-    )
+    _param_names = tuple(f.name for f in dataclasses.fields(SchemeConfig))
 
     def __init__(
         self,
@@ -71,17 +65,7 @@ class ChannelAssigner:
         return self
 
     def _config(self) -> SchemeConfig:
-        if str(self.scheme).lower() not in SCHEMES:
-            raise ValidationError(f"unknown scheme {self.scheme!r}")
-        return SchemeConfig(
-            scheme=str(self.scheme).lower(),
-            metric=canonical_metric(str(self.metric)),
-            seed=int(self.seed),
-            max_iterations=int(self.max_iterations),
-            connectivity_rule=self.connectivity_rule,
-            bio_budget=int(self.bio_budget),
-            x=self.x,
-        )
+        return SchemeConfig(**self.get_params())
 
     def fit(self, topology: Topology, y=None) -> "ChannelAssigner":
         """Optimize an assignment for the topology; returns self."""

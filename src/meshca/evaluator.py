@@ -18,7 +18,10 @@ from .topology import (
     RealizedLink,
     Topology,
     check_assignment,
-    conflict_graph,
+    compile_topology,
+    conflict_degrees,
+    node_histograms,
+    pair_links,
 )
 
 #: 5 MB datafile, binary megabytes (5 MB at 54 Mbps ~= 0.777 s)
@@ -123,40 +126,43 @@ def estimate_performance(
     using it; a flow runs at the minimum over its hops.
     """
     check_assignment(topo, ca)
-    cg = conflict_graph(topo, ca)
-    links_by_pair: dict[tuple[int, int], list[int]] = {}
-    for idx, link in enumerate(cg.links):
-        links_by_pair.setdefault(link.nodes(), []).append(idx)
+    inst = compile_topology(topo)
+    links, k = pair_links(inst, node_histograms(inst, ca))
+    degrees = conflict_degrees(inst, links)
+    # every link of one pair on one channel has the same degree, so a hop
+    # picks a (pair, channel); its link is the first such radio pair
+    best: dict[int, int] = {}
 
     def pick(u: int, v: int) -> int | None:
-        pair = (u, v) if u < v else (v, u)
-        candidates = links_by_pair.get(pair)
-        if not candidates:
+        p = inst.pair_index.get((u, v) if u < v else (v, u))
+        if p is None or not k[p]:
             return None
-        return min(candidates, key=lambda i: (cg.degrees[i], cg.links[i].channel, i))
+        if p not in best:
+            best[p] = min((d[p], ch) for ch, d in enumerate(degrees) if links[ch][p])[1]
+        return p
 
     selections: list[list[int] | None] = []
     for flow in flows:
         chosen: list[int] | None = []
         for a, b in zip(flow.path, flow.path[1:]):
-            idx = pick(a, b)
-            if idx is None:
+            p = pick(a, b)
+            if p is None:
                 chosen = None
                 break
-            chosen.append(idx)
+            chosen.append(p)
         selections.append(chosen)
 
-    active = sorted({idx for sel in selections if sel for idx in sel})
-    active_set = set(active)
-    share = {
-        idx: phy_rate / (1 + sum(1 for nb in cg.neighbors[idx] if nb in active_set))
-        for idx in active
+    # a pair carries at most one active link, so an active link's active
+    # conflicts are the active pairs within reach on its channel
+    active = {p: best[p] for sel in selections if sel for p in sel}
+    contention = {
+        p: sum(1 for q in inst.reach[p] if active.get(q) == ch) for p, ch in active.items()
     }
-    load: dict[int, int] = {idx: 0 for idx in active}
+    load = dict.fromkeys(active, 0)
     for sel in selections:
         if sel:
-            for idx in set(sel):
-                load[idx] += 1
+            for p in set(sel):
+                load[p] += 1
 
     perf = []
     disconnected = []
@@ -165,14 +171,25 @@ def estimate_performance(
             perf.append(FlowPerf(flow, 0.0, None, None, 0))
             disconnected.append(fi)
             continue
-        rates = [share[idx] / load[idx] for idx in sel]
+        rates = [phy_rate / (1 + contention[p]) / load[p] for p in sel]
         throughput = min(rates)
-        bottleneck_idx = sel[rates.index(throughput)]
-        contention = sum(1 for nb in cg.neighbors[bottleneck_idx] if nb in active_set)
-        transfer = flow.payload_bytes * 8 / (throughput * 1e6)
-        perf.append(
-            FlowPerf(flow, throughput, transfer, cg.links[bottleneck_idx], contention)
+        p = sel[rates.index(throughput)]
+        u, v = inst.pairs[p]
+        ch = active[p]
+        bottleneck = RealizedLink(
+            inst.ids[u], _first_radio(ca, inst.ids[u], ch),
+            inst.ids[v], _first_radio(ca, inst.ids[v], ch), ch,
         )
+        transfer = flow.payload_bytes * 8 / (throughput * 1e6)
+        perf.append(FlowPerf(flow, throughput, transfer, bottleneck, contention[p]))
     return PerfReport(
         phy_rate_mbps=phy_rate, flows=tuple(perf), disconnected=tuple(disconnected)
     )
+
+
+def _first_radio(ca: ChannelAssignment, node: int, ch: int) -> int:
+    """The lowest radio index of node tuned to channel ch (one must be)."""
+    r = 0
+    while ca[(node, r)] != ch:
+        r += 1
+    return r

@@ -70,6 +70,13 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValidationError(f"unknown scheme {s!r}")
+        # the parameters every cell shares are validated once, before any cell runs
+        SchemeConfig(
+            max_iterations=self.max_iterations,
+            connectivity_rule=self.connectivity_rule,
+            bio_budget=self.bio_budget,
+            x=self.x,
+        )
 
 
 @dataclass

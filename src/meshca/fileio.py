@@ -10,10 +10,10 @@ import csv
 import json
 from pathlib import Path
 
-from .errors import MismatchedFilesError, ValidationError
+from .errors import ValidationError
 from .evaluator import PerfReport
 from .optimizer import OptimizationTrace
-from .topology import ChannelAssignment, Node, Topology, check_topology, radios
+from .topology import ChannelAssignment, Node, Topology, check_topology
 
 
 def dump_json(obj, path: str | Path) -> None:
@@ -23,8 +23,15 @@ def dump_json(obj, path: str | Path) -> None:
 def load_json(path: str | Path):
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _integer(value, what: str) -> int:
+    # bool is an int subclass, but true/false are not numbers here
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -45,16 +52,19 @@ def topology_from_dict(data: dict) -> Topology:
     try:
         nodes = tuple(
             sorted(
-                (Node(int(n["id"]), float(n["x"]), float(n["y"])) for n in data["nodes"]),
+                (
+                    Node(_integer(n["id"], "node id"), float(n["x"]), float(n["y"]))
+                    for n in data["nodes"]
+                ),
                 key=lambda n: n.id,
             )
         )
         topo = Topology(
             nodes=nodes,
-            radios_per_node=int(data["radios_per_node"]),
+            radios_per_node=_integer(data["radios_per_node"], "radios_per_node"),
             tx_range=float(data["tx_range"]),
-            interference_x=int(data["interference_x"]),
-            channel_count=int(data["channel_count"]),
+            interference_x=_integer(data["interference_x"], "interference_x"),
+            channel_count=_integer(data["channel_count"], "channel_count"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed topology data: {exc}") from exc
@@ -81,11 +91,7 @@ def assignment_to_dict(ca: ChannelAssignment) -> dict:
 def assignment_from_dict(data: dict) -> ChannelAssignment:
     ca: ChannelAssignment = {}
     for key, ch in data.items():
-        # bool is an int subclass, but true/false are not channel numbers
-        if isinstance(ch, bool) or not isinstance(ch, int):
-            raise ValidationError(
-                f"malformed assignment entry {key!r}: channel {ch!r} is not an integer"
-            )
+        _integer(ch, f"malformed assignment entry {key!r}: channel")
         try:
             node_s, radio_s = key.split(":")
             ca[(int(node_s), int(radio_s))] = ch
@@ -102,30 +108,6 @@ def save_assignment(ca: ChannelAssignment, path: str | Path) -> None:
 
 def load_assignment(path: str | Path) -> ChannelAssignment:
     return assignment_from_dict(load_json(path))
-
-
-def check_files_consistent(topo: Topology, ca: ChannelAssignment) -> None:
-    """Raise MismatchedFilesError naming the first inconsistency found.
-
-    Checked in canonical radio order: missing radios, then unknown radios,
-    then out-of-range channels.
-    """
-    for node, radio in radios(topo):
-        if (node, radio) not in ca:
-            raise MismatchedFilesError(f"assignment is missing radio {node}:{radio}")
-    known = set(radios(topo))
-    for key in sorted(ca):
-        if key not in known:
-            raise MismatchedFilesError(
-                f"assignment references unknown radio {key[0]}:{key[1]}"
-            )
-    for node, radio in radios(topo):
-        ch = ca[(node, radio)]
-        if not (0 <= ch < topo.channel_count):
-            raise MismatchedFilesError(
-                f"channel {ch} out of range for radio {node}:{radio} "
-                f"(channel_count {topo.channel_count})"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ paths that touch the radio's node.
 
 from __future__ import annotations
 
-import itertools
 import statistics
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -35,7 +34,6 @@ from .topology import (
     ChannelAssignment,
     RadioId,
     Topology,
-    adjacent_pairs,
     check_assignment,
     compile_topology,
     links_connected,
@@ -94,19 +92,6 @@ def cdal_cost(topo: Topology, ca: ChannelAssignment) -> IemScore:
     return LinkState(topo, ca, "cdal").score()
 
 
-@dataclass(frozen=True)
-class XLinkSet:
-    """An x-hop simple node path plus, per hop, the realized links available.
-
-    Canonical orientation: path[0] < path[-1], so each undirected path is
-    represented once. hop_channels[i] holds the channel of each realized link
-    of hop i (duplicates mean parallel links on one channel).
-    """
-
-    path: tuple[int, ...]
-    hop_channels: tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=None)
 def enumerate_xls(topo: Topology, x: int) -> tuple[tuple[int, ...], ...]:
     """All simple x-hop paths of the potential graph, canonical, sorted."""
@@ -131,44 +116,8 @@ def enumerate_xls(topo: Topology, x: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def build_xls(topo: Topology, ca: ChannelAssignment, path: tuple[int, ...]) -> XLinkSet:
-    """Materialize the per-hop link options of a node path under an assignment."""
-    m = topo.radios_per_node
-    hops = []
-    for a, b in zip(path, path[1:]):
-        u, v = (a, b) if a < b else (b, a)
-        chans = [
-            ca[(u, ru)]
-            for ru in range(m)
-            for rv in range(m)
-            if ca[(u, ru)] == ca[(v, rv)]
-        ]
-        hops.append(tuple(chans))
-    return XLinkSet(path=tuple(path), hop_channels=tuple(hops))
-
-
-def xls_weight(xls: XLinkSet) -> float:
-    """Mean count of uniquely-channeled hops over all per-hop link choices.
-
-    A hop with no realized link makes the whole set unusable: weight 0.
-    Ranges over [0, x]: 0 when every hop shares one channel, x when all hop
-    channels are pairwise distinct in every realization.
-    """
-    if any(len(options) == 0 for options in xls.hop_channels):
-        return 0.0
-    total = 0
-    count = 0
-    for combo in itertools.product(*xls.hop_channels):
-        uses: dict[int, int] = {}
-        for ch in combo:
-            uses[ch] = uses.get(ch, 0) + 1
-        total += sum(1 for ch in combo if uses[ch] == 1)
-        count += 1
-    return total / count
-
-
 def cxls_wt(topo: Topology, ca: ChannelAssignment, x: int | None = None) -> IemScore:
-    """Sum of xls_weight over every x-hop link set (x defaults to interference_x).
+    """Sum of path_weight over every x-hop path (x defaults to interference_x).
 
     Networks too small to contain any x-hop path score 0 (empty sum).
     """
@@ -188,6 +137,8 @@ def score(
 
 
 def canonical_metric(metric: str) -> str:
+    if not isinstance(metric, str):
+        raise ValidationError(f"unknown metric {metric!r}; expected one of {METRICS}")
     name = metric.strip().lower()
     aliases = {"cdal_cost": "cdal", "cxls_wt": "cxls"}
     name = aliases.get(name, name)
@@ -219,10 +170,9 @@ def xls_paths(
     index v (the paths whose weight a retune of node v can change).
     """
     inst = compile_topology(topo)
-    pair_index = {pair: p for p, pair in enumerate(adjacent_pairs(topo))}
     paths = enumerate_xls(topo, x)
     hops = tuple(
-        tuple(pair_index[(a, b) if a < b else (b, a)] for a, b in zip(path, path[1:]))
+        tuple(inst.pair_index[(a, b) if a < b else (b, a)] for a, b in zip(path, path[1:]))
         for path in paths
     )
     through: list[list[int]] = [[] for _ in inst.ids]
@@ -263,12 +213,14 @@ def _channel_loads(links: list[list[int]], k: list[int]) -> list[float]:
 
 
 def path_weight(links: list[list[int]], k: list[int], hops: tuple[int, ...]) -> float:
-    """xls_weight of one path, in closed form.
+    """The x-hop link-set weight of one path (hops: its adjacent-pair indices).
 
-    Over the prod(k) per-hop link choices, hop i is on channel ch in
-    L_i,ch of them and each other hop j avoids ch in k_j - L_j,ch, so the
-    uniquely-channeled hops total sum_i sum_ch L_i,ch * prod_{j!=i}(k_j - L_j,ch).
-    That integer over prod(k) is the enumeration's own total / count.
+    The weight is the mean number of uniquely-channeled hops over all
+    prod(k) per-hop link choices; a hop with no realized link makes it 0,
+    and it lies in [0, x]. Hop i is on channel ch in L_i,ch of the choices
+    and each other hop j avoids ch in k_j - L_j,ch, so the uniquely-channeled
+    hops total sum_i sum_ch L_i,ch * prod_{j!=i}(k_j - L_j,ch). That integer
+    over prod(k) is the enumeration's own total / count.
     """
     count = 1
     for p in hops:

@@ -33,9 +33,10 @@ from .topology import (
     ChannelAssignment,
     Topology,
     adjacent_pairs,
-    check_assignment,
     check_topology,
-    conflict_graph,
+    compile_topology,
+    conflict_degrees,
+    node_histograms,
     potential_neighbors,
     radios,
 )
@@ -55,18 +56,29 @@ class SchemeConfig:
     x: int | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
+        """Validate every field; scheme is lower-cased and metric made canonical."""
+        scheme = self.scheme.lower() if isinstance(self.scheme, str) else self.scheme
+        if scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        canonical_metric(self.metric)  # raises on bad name
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "metric", canonical_metric(self.metric))
         if self.connectivity_rule not in CONNECTIVITY_RULES:
             raise ValidationError(
                 f"unknown connectivity rule {self.connectivity_rule!r}; "
                 f"expected one of {CONNECTIVITY_RULES}"
             )
+        for name in ("seed", "max_iterations", "bio_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
         if self.bio_budget < 1:
             raise ValidationError("bio_budget must be >= 1")
+        if self.x is not None and (
+            isinstance(self.x, bool) or not isinstance(self.x, int) or self.x < 1
+        ):
+            raise ValidationError(f"x must be None or an integer >= 1, got {self.x!r}")
 
 
 @dataclass(frozen=True)
@@ -151,10 +163,10 @@ def _repair(topo: Topology, state: LinkState, rule: str) -> bool:
     m = topo.radios_per_node
     nbrs = potential_neighbors(topo)
     ca = state.ca
+    pair_index = state.inst.pair_index
 
     def have_link(u: int, v: int) -> bool:
-        chans_u = {ca[(u, r)] for r in range(m)}
-        return any(ca[(v, r)] in chans_u for r in range(m))
+        return state.k[pair_index[(u, v) if u < v else (v, u)]] > 0
 
     # breadth-first tree pass: give every discovered node a channel in common
     # with its tree parent, which connects each potential-graph component
@@ -230,12 +242,16 @@ def improve_sweep(
 
 def node_interference(topo: Topology, ca: ChannelAssignment) -> dict[int, int]:
     """Per node, the summed interference degrees of its incident links."""
-    cg = conflict_graph(topo, ca)
-    values = {n.id: 0 for n in topo.nodes}
-    for idx, link in enumerate(cg.links):
-        values[link.node_a] += cg.degrees[idx]
-        values[link.node_b] += cg.degrees[idx]
-    return values
+    state = LinkState(topo, ca)
+    inst = state.inst
+    per_pair = [0] * len(inst.pairs)
+    for ns, ds in zip(state.links, conflict_degrees(inst, state.links)):
+        for p, (n, d) in enumerate(zip(ns, ds)):
+            per_pair[p] += n * d
+    return {
+        node: sum(per_pair[p] for p, _ in inst.incident[i])
+        for i, node in enumerate(inst.ids)
+    }
 
 
 def eiz_detect(topo: Topology, ca: ChannelAssignment) -> list[int]:
@@ -244,7 +260,6 @@ def eiz_detect(topo: Topology, ca: ChannelAssignment) -> list[int]:
     These are the elevated-interference pockets; sorted by interference
     descending, ties by node id ascending.
     """
-    check_assignment(topo, ca)
     values = node_interference(topo, ca)
     vals = list(values.values())
     threshold = statistics.mean(vals) + statistics.pstdev(vals)
@@ -254,14 +269,8 @@ def eiz_detect(topo: Topology, ca: ChannelAssignment) -> list[int]:
 
 def count_colocated_pairs(topo: Topology, ca: ChannelAssignment) -> int:
     """Same-node radio pairs sharing one channel (the co-location interference unit)."""
-    m = topo.radios_per_node
-    total = 0
-    for n in topo.nodes:
-        chans = [ca[(n.id, r)] for r in range(m)]
-        for ch in set(chans):
-            k = chans.count(ch)
-            total += k * (k - 1) // 2
-    return total
+    hist = node_histograms(compile_topology(topo), ca)
+    return sum(n * (n - 1) // 2 for h in hist for n in h)
 
 
 def rci_mitigate(
@@ -358,7 +367,7 @@ def run_scheme(
 ) -> tuple[ChannelAssignment, IemScore, OptimizationTrace]:
     """Run one scheme end to end and return (assignment, score, trace)."""
     check_topology(topo)
-    metric = canonical_metric(cfg.metric)
+    metric = cfg.metric
 
     if cfg.scheme == "bio":
         ca, final, feasible = bio_assign(topo, cfg)

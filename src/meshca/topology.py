@@ -1,4 +1,4 @@
-"""Mesh network model: nodes, radios, ranges, links and the conflict graph.
+"""Mesh network model: nodes, radios, ranges and realized links.
 
 A Topology is immutable and hashable; geometry-derived structures (adjacent
 node pairs, interference reach between pairs, the index-based
@@ -69,26 +69,6 @@ class RealizedLink:
     radio_b: int
     channel: int
 
-    def nodes(self) -> tuple[int, int]:
-        return (self.node_a, self.node_b)
-
-
-@dataclass(frozen=True)
-class ConflictGraph:
-    """Realized links as vertices; same-channel interference as edges.
-
-    degrees[i] is the interference degree of links[i] (its conflict count).
-    """
-
-    links: tuple[RealizedLink, ...]
-    edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...]
-    neighbors: tuple[tuple[int, ...], ...]
-
-    @property
-    def total_interference_degree(self) -> int:
-        return sum(self.degrees)
-
 
 def check_topology(topo: Topology) -> None:
     """Validate structural invariants; raise ValidationError on violation."""
@@ -98,10 +78,13 @@ def check_topology(topo: Topology) -> None:
         raise ValidationError("interference_x must be >= 1")
     if topo.channel_count < 1:
         raise ValidationError("channel_count must be >= 1")
-    if topo.tx_range <= 0:
-        raise ValidationError("tx_range must be > 0")
+    if not (math.isfinite(topo.tx_range) and topo.tx_range > 0):
+        raise ValidationError("tx_range must be finite and > 0")
     if len(topo.nodes) < 1:
         raise ValidationError("topology needs at least one node")
+    for n in topo.nodes:
+        if not (math.isfinite(n.x) and math.isfinite(n.y)):
+            raise ValidationError(f"node {n.id} has a non-finite position")
     ids = [n.id for n in topo.nodes]
     if len(set(ids)) != len(ids):
         raise ValidationError("node ids must be distinct")
@@ -259,15 +242,17 @@ class CompiledTopology:
     """Index-based form of a topology, built once and reused for every assignment.
 
     Nodes are numbered 0..n-1 in topology order (ids[i], index[id]).
-    pairs[p] is adjacent_pairs(topo)[p] as node indices, and incident[i]
-    lists (pair index, other node index) for every adjacent pair of node i,
-    in pair order. reach is interfering_pairs(topo) itself, built on first use.
+    pairs[p] is adjacent_pairs(topo)[p] as node indices, pair_index maps the
+    node-id pair adjacent_pairs(topo)[p] back to p, and incident[i] lists
+    (pair index, other node index) for every adjacent pair of node i, in pair
+    order. reach is interfering_pairs(topo) itself, built on first use.
     """
 
     topo: Topology
     ids: tuple[int, ...]
     index: dict[int, int]
     pairs: tuple[tuple[int, int], ...]
+    pair_index: dict[tuple[int, int], int]
     incident: tuple[tuple[tuple[int, int], ...], ...]
 
     @cached_property
@@ -280,7 +265,8 @@ def compile_topology(topo: Topology) -> CompiledTopology:
     """The topology's CompiledTopology, built once and cached like its geometry."""
     ids = topo.node_ids()
     index = {node: i for i, node in enumerate(ids)}
-    pairs = tuple((index[u], index[v]) for u, v in adjacent_pairs(topo))
+    id_pairs = adjacent_pairs(topo)
+    pairs = tuple((index[u], index[v]) for u, v in id_pairs)
     incident: list[list[tuple[int, int]]] = [[] for _ in ids]
     for p, (i, j) in enumerate(pairs):
         incident[i].append((p, j))
@@ -290,6 +276,7 @@ def compile_topology(topo: Topology) -> CompiledTopology:
         ids=ids,
         index=index,
         pairs=pairs,
+        pair_index={pair: p for p, pair in enumerate(id_pairs)},
         incident=tuple(tuple(inc) for inc in incident),
     )
 
@@ -315,74 +302,31 @@ def _bfs_covers(nbrs: dict[int, tuple[int, ...]], ids: tuple[int, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Channel assignments, realized links, conflicts
+# Channel assignments and realized links
 # ---------------------------------------------------------------------------
 
 def check_assignment(topo: Topology, ca: ChannelAssignment) -> None:
-    """Require a total assignment with in-range channels."""
-    for radio in radios(topo):
-        if radio not in ca:
-            raise IncompleteAssignmentError(
-                f"assignment is missing radio {radio[0]}:{radio[1]}"
-            )
-        ch = ca[radio]
+    """Require exactly the topology's radios, each on an in-range int channel.
+
+    Raises IncompleteAssignmentError naming the first inconsistency, checked
+    in canonical radio order: a missing radio, then an unknown radio, then a
+    channel that is not an int in [0, channel_count).
+    """
+    rlist = radios(topo)
+    for node, radio in rlist:
+        if (node, radio) not in ca:
+            raise IncompleteAssignmentError(f"assignment is missing radio {node}:{radio}")
+    if len(ca) > len(rlist):
+        known = set(rlist)
+        node, radio = min(key for key in ca if key not in known)
+        raise IncompleteAssignmentError(f"assignment references unknown radio {node}:{radio}")
+    for node, radio in rlist:
+        ch = ca[(node, radio)]
         if not isinstance(ch, int) or not (0 <= ch < topo.channel_count):
             raise IncompleteAssignmentError(
-                f"channel {ch} out of range for radio {radio[0]}:{radio[1]} "
+                f"channel {ch} out of range for radio {node}:{radio} "
                 f"(channel_count {topo.channel_count})"
             )
-
-
-def realized_links(topo: Topology, ca: ChannelAssignment) -> list[RealizedLink]:
-    """One link per (adjacent node pair, radio pair) tuned to a common channel.
-
-    Deterministic order: by node ids, then radio indices.
-    """
-    check_assignment(topo, ca)
-    m = topo.radios_per_node
-    out = []
-    for u, v in adjacent_pairs(topo):
-        for ru in range(m):
-            cu = ca[(u, ru)]
-            for rv in range(m):
-                if cu == ca[(v, rv)]:
-                    out.append(RealizedLink(u, ru, v, rv, cu))
-    return out
-
-
-def conflict_graph(topo: Topology, ca: ChannelAssignment) -> ConflictGraph:
-    """Build the conflict graph of all realized links.
-
-    Two distinct links conflict iff they share a channel and the minimum
-    distance between their endpoint nodes is within the interference range
-    (links sharing a node are always in reach).
-    """
-    links = realized_links(topo, ca)
-    pairs = adjacent_pairs(topo)
-    pair_idx = {p: i for i, p in enumerate(pairs)}
-    reach_sets = [frozenset(t) for t in interfering_pairs(topo)]
-
-    by_channel: dict[int, list[int]] = {}
-    for i, link in enumerate(links):
-        by_channel.setdefault(link.channel, []).append(i)
-
-    edges = []
-    neighbors: list[list[int]] = [[] for _ in links]
-    for members in by_channel.values():
-        for a_pos, i in enumerate(members):
-            pi = pair_idx[links[i].nodes()]
-            for j in members[a_pos + 1:]:
-                pj = pair_idx[links[j].nodes()]
-                if pi == pj or pj in reach_sets[pi]:
-                    edges.append((i, j))
-                    neighbors[i].append(j)
-                    neighbors[j].append(i)
-    return ConflictGraph(
-        links=tuple(links),
-        edges=tuple(sorted(edges)),
-        degrees=tuple(len(ns) for ns in neighbors),
-        neighbors=tuple(tuple(sorted(ns)) for ns in neighbors),
-    )
 
 
 def node_histograms(inst: CompiledTopology, ca: ChannelAssignment) -> list[list[int]]:
@@ -417,6 +361,26 @@ def pair_links(
     return links, [sum(per_channel) for per_channel in zip(*links)]
 
 
+def conflict_degrees(inst: CompiledTopology, links: list[list[int]]) -> list[list[int]]:
+    """Interference degree of each realized link, from the link counts.
+
+    Two links conflict iff they share a channel and their pairs are the same
+    or within reach, so each of the L[ch][p] links of pair p on channel ch
+    has degree D[ch][p] = L[ch][p] - 1 + sum over q in reach[p] of L[ch][q].
+    Returns D, with 0 where a pair has no link on a channel. tid is the sum
+    of L * D.
+    """
+    reach = inst.reach
+    degrees = []
+    for per_channel in links:
+        get = per_channel.__getitem__
+        degrees.append([
+            n - 1 + sum(map(get, reach[p])) if n else 0
+            for p, n in enumerate(per_channel)
+        ])
+    return degrees
+
+
 def links_connected(inst: CompiledTopology, k: list[int]) -> bool:
     """True iff the adjacent pairs with k[p] > 0 realized links connect all nodes."""
     n = len(inst.ids)
@@ -436,13 +400,6 @@ def links_connected(inst: CompiledTopology, k: list[int]) -> bool:
     return reached == n
 
 
-def linked_pairs(topo: Topology, ca: ChannelAssignment) -> list[tuple[int, int]]:
-    """Adjacent node pairs that have at least one realized link."""
-    inst = compile_topology(topo)
-    _, k = pair_links(inst, node_histograms(inst, ca))
-    return [pair for pair, links in zip(adjacent_pairs(topo), k) if links]
-
-
 def is_ca_connected(topo: Topology, ca: ChannelAssignment) -> bool:
     """True iff nodes form one component under pairs with >= 1 realized link."""
     check_assignment(topo, ca)
@@ -454,7 +411,9 @@ def is_ca_connected(topo: Topology, ca: ChannelAssignment) -> bool:
 def preserves_all_pairs(topo: Topology, ca: ChannelAssignment) -> bool:
     """True iff every adjacent node pair keeps at least one realized link."""
     check_assignment(topo, ca)
-    return len(linked_pairs(topo, ca)) == len(adjacent_pairs(topo))
+    inst = compile_topology(topo)
+    _, k = pair_links(inst, node_histograms(inst, ca))
+    return 0 not in k
 
 
 def uniform_assignment(topo: Topology, channel: int = 0) -> ChannelAssignment:

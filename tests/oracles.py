@@ -1,12 +1,17 @@
-"""Independent brute-force reference implementations for the three metrics.
+"""Independent brute-force reference implementations for the three metrics
+and the flow estimator.
 
 Everything here recomputes from first principles with plain nested loops --
 no reuse of the package's derivation helpers -- so the optimized
-implementations can be checked against these on small instances.
+implementations can be checked against these on small instances. Only the
+package's result types are imported.
 """
 
 import itertools
 import math
+
+from meshca.evaluator import FlowPerf, PerfReport
+from meshca.topology import RealizedLink
 
 
 def _dist(p, q):
@@ -112,3 +117,49 @@ def xls_weight_value(topo, ca, path):
 
 def cxls_value(topo, ca, x):
     return float(sum(xls_weight_value(topo, ca, p) for p in paths(topo, x)))
+
+
+def estimate_performance(topo, ca, flows, phy_rate):
+    """The flow estimate over individual radio-pair links.
+
+    Per hop the link with the fewest conflicts (then lowest channel, then
+    first in links() order) is chosen; a hop without a link disconnects its
+    flow. An active link's airtime share is phy_rate / (1 + its active
+    conflicting links), split evenly over the flows using it.
+    """
+    lks = links(topo, ca)
+    nbrs = [set() for _ in lks]
+    for i in range(len(lks)):
+        for j in range(i + 1, len(lks)):
+            if conflicting(topo, lks[i], lks[j]):
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+
+    def pick(a, b):
+        u, v = min(a, b), max(a, b)
+        cands = [i for i, lk in enumerate(lks) if (lk[0], lk[2]) == (u, v)]
+        if not cands:
+            return None
+        return min(cands, key=lambda i: (len(nbrs[i]), lks[i][4], i))
+
+    selections = []
+    for flow in flows:
+        chosen = [pick(a, b) for a, b in zip(flow.path, flow.path[1:])]
+        selections.append(None if None in chosen else chosen)
+    active = {i for sel in selections if sel for i in sel}
+    load = {i: sum(1 for sel in selections if sel and i in sel) for i in active}
+
+    perf, disconnected = [], []
+    for fi, (flow, sel) in enumerate(zip(flows, selections)):
+        if sel is None:
+            perf.append(FlowPerf(flow, 0.0, None, None, 0))
+            disconnected.append(fi)
+            continue
+        rates = [phy_rate / (1 + len(nbrs[i] & active)) / load[i] for i in sel]
+        throughput = min(rates)
+        b = sel[rates.index(throughput)]
+        perf.append(FlowPerf(
+            flow, throughput, flow.payload_bytes * 8 / (throughput * 1e6),
+            RealizedLink(*lks[b]), len(nbrs[b] & active),
+        ))
+    return PerfReport(phy_rate, tuple(perf), tuple(disconnected))

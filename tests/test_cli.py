@@ -147,6 +147,14 @@ class TestScore:
         assert code == 1
         assert "not an integer" in err
 
+    def test_non_utf8_file_exit_one(self, line3_m2_files, tmp_path, capsys):
+        ca_path = tmp_path / "ca.json"
+        ca_path.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(
+            capsys, "score", "-t", str(line3_m2_files), "-a", str(ca_path))
+        assert code == 1
+        assert "not valid JSON" in err
+
     def test_missing_radio_named(self, line3_m2_files, tmp_path, capsys):
         ca_path = tmp_path / "ca.json"
         ca_path.write_text(json.dumps({"0:0": 0}))

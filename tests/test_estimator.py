@@ -1,6 +1,15 @@
+import dataclasses
+
 import pytest
 
-from meshca import ChannelAssigner, ValidationError, gen_grid, is_ca_connected, score
+from meshca import (
+    ChannelAssigner,
+    SchemeConfig,
+    ValidationError,
+    gen_grid,
+    is_ca_connected,
+    score,
+)
 
 
 @pytest.fixture
@@ -14,6 +23,9 @@ class TestParamProtocol:
         params = est.get_params()
         clone = ChannelAssigner(**params)
         assert clone.get_params() == params
+
+    def test_defaults_are_scheme_config_defaults(self):
+        assert ChannelAssigner().get_params() == dataclasses.asdict(SchemeConfig())
 
     def test_set_params_returns_self(self):
         est = ChannelAssigner()
@@ -72,3 +84,11 @@ class TestFit:
     def test_bad_scheme_rejected(self, grid):
         with pytest.raises(ValidationError):
             ChannelAssigner(scheme="magic").fit(grid)
+
+    @pytest.mark.parametrize("params", [
+        {"seed": 2.9}, {"seed": "3"}, {"max_iterations": 2.0}, {"bio_budget": True},
+        {"x": 0}, {"x": 1.5}, {"metric": None},
+    ])
+    def test_bad_param_values_rejected(self, grid, params):
+        with pytest.raises(ValidationError):
+            ChannelAssigner(**params).fit(grid)

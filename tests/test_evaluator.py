@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import oracles
 from conftest import make_random_assignment
 from meshca import (
     FlowSpec,
+    IncompleteAssignmentError,
     NonGridTopologyError,
     build_grid_flows,
     estimate_performance,
@@ -127,3 +129,29 @@ class TestEstimatePerformance:
         a = estimate_performance(line3_m2, ca, flows, 9.0)
         b = estimate_performance(line3_m2, ca, flows, 9.0)
         assert a == b
+
+    def test_incomplete_assignment_rejected(self, line3_m1):
+        flows = [FlowSpec(0, 2, (0, 1, 2))]
+        with pytest.raises(IncompleteAssignmentError):
+            estimate_performance(line3_m1, {(0, 0): 0}, flows, 9.0)
+        with pytest.raises(IncompleteAssignmentError):
+            estimate_performance(line3_m1, {(0, 0): 0, (1, 0): 0, (2, 0): 9}, flows, 9.0)
+
+    def test_matches_radio_level_oracle(self):
+        # random grids and assignments, the grid flows plus a duplicate flow
+        # and flows with a non-adjacent hop (after an adjacent one, too)
+        rng = random.Random(53)
+        for _ in range(300):
+            topo = gen_grid(rng.randint(1, 5), rng.randint(1, 5), 100, 100,
+                            rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4))
+            ca = make_random_assignment(rng, topo)
+            flows = build_grid_flows(topo)
+            if flows:
+                flows.append(rng.choice(flows))
+            ids = topo.node_ids()
+            flows.append(FlowSpec(ids[0], ids[-1], (ids[0], ids[-1])))
+            if len(ids) >= 3:
+                flows.append(FlowSpec(ids[0], ids[-1], (ids[0], ids[1], ids[-1])))
+            for rate in (9.0, 54.0):
+                assert estimate_performance(topo, ca, flows, rate) == \
+                    oracles.estimate_performance(topo, ca, flows, rate)

@@ -30,6 +30,12 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(topology=topo, schemes=("pio", "magic"))
 
+    @pytest.mark.parametrize("x", [2.0, 0, "2"])
+    def test_rejects_bad_x_before_any_cell(self, x):
+        topo = gen_grid(2, 2, 100, 100, 2, 1, 2)
+        with pytest.raises(ValidationError, match="x must be"):
+            ExperimentConfig(topology=topo, x=x)
+
 
 class TestMatrix:
     def test_row_counts(self, small_report):

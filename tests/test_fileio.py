@@ -1,25 +1,57 @@
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meshca import (
-    MismatchedFilesError,
+    IncompleteAssignmentError,
+    Node,
     SchemeConfig,
+    Topology,
     ValidationError,
+    check_assignment,
     gen_grid,
     gen_random,
     run_scheme,
     uniform_assignment,
 )
 from meshca.fileio import (
-    check_files_consistent,
+    assignment_from_dict,
+    assignment_to_dict,
     load_assignment,
     load_topology,
     save_assignment,
     save_topology,
     save_trace,
+    topology_from_dict,
+    topology_to_dict,
     trace_to_dict,
 )
+
+
+@st.composite
+def topologies(draw):
+    """Valid topologies, nodes sorted by id as topology_from_dict returns them."""
+    coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6, unique=True))
+    ids = draw(st.lists(st.integers(-1000, 1000), min_size=len(points),
+                        max_size=len(points), unique=True))
+    return Topology(
+        nodes=tuple(sorted((Node(i, x, y) for i, (x, y) in zip(ids, points)),
+                           key=lambda n: n.id)),
+        radios_per_node=draw(st.integers(1, 4)),
+        tx_range=draw(st.floats(1e-3, 1e6)),
+        interference_x=draw(st.integers(1, 4)),
+        channel_count=draw(st.integers(1, 12)),
+    )
+
+
+def grid_dict(**changes):
+    data = topology_to_dict(gen_grid(1, 3, 100, 100, 2, 2, 2))
+    data.update(changes)
+    return data
 
 
 class TestTopologyRoundTrip:
@@ -51,6 +83,42 @@ class TestTopologyRoundTrip:
         with pytest.raises(ValidationError):
             load_topology(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            load_topology(path)
+
+    @pytest.mark.parametrize("field", ["radios_per_node", "interference_x", "channel_count"])
+    @pytest.mark.parametrize("value", [2.7, 2.0, True])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} .* is not an integer"):
+            topology_from_dict(grid_dict(**{field: value}))
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_non_integer_node_id_rejected(self, value):
+        data = grid_dict()
+        data["nodes"][0]["id"] = value
+        with pytest.raises(ValidationError, match="node id .* is not an integer"):
+            topology_from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_rejected(self, value):
+        data = grid_dict()
+        data["nodes"][1]["y"] = value
+        with pytest.raises(ValidationError, match="node 1 has a non-finite position"):
+            topology_from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_tx_range_rejected(self, value):
+        with pytest.raises(ValidationError, match="tx_range must be finite"):
+            topology_from_dict(grid_dict(tx_range=value))
+
+    @given(topologies())
+    def test_dict_round_trip(self, topo):
+        text = json.dumps(topology_to_dict(topo))
+        assert topology_from_dict(json.loads(text)) == topo
+
 
 class TestAssignmentRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -73,26 +141,32 @@ class TestAssignmentRoundTrip:
         with pytest.raises(ValidationError):
             load_assignment(path)
 
+    @given(st.dictionaries(st.tuples(st.integers(-1000, 1000), st.integers(0, 8)),
+                           st.integers(0, 16)))
+    def test_dict_round_trip(self, ca):
+        text = json.dumps(assignment_to_dict(ca))
+        assert assignment_from_dict(json.loads(text)) == ca
+
 
 class TestConsistency:
     def test_missing_radio_named_first(self, line3_m2):
         ca = uniform_assignment(line3_m2)
         del ca[(1, 0)]
         del ca[(2, 1)]
-        with pytest.raises(MismatchedFilesError, match="missing radio 1:0"):
-            check_files_consistent(line3_m2, ca)
+        with pytest.raises(IncompleteAssignmentError, match="missing radio 1:0"):
+            check_assignment(line3_m2, ca)
 
     def test_unknown_radio_named(self, line3_m2):
         ca = uniform_assignment(line3_m2)
         ca[(9, 0)] = 0
-        with pytest.raises(MismatchedFilesError, match="unknown radio 9:0"):
-            check_files_consistent(line3_m2, ca)
+        with pytest.raises(IncompleteAssignmentError, match="unknown radio 9:0"):
+            check_assignment(line3_m2, ca)
 
     def test_out_of_range_channel_named(self, line3_m2):
         ca = uniform_assignment(line3_m2)
         ca[(0, 1)] = 5
-        with pytest.raises(MismatchedFilesError, match="channel 5 out of range"):
-            check_files_consistent(line3_m2, ca)
+        with pytest.raises(IncompleteAssignmentError, match="channel 5 out of range"):
+            check_assignment(line3_m2, ca)
 
 
 class TestTraceFile:

@@ -9,9 +9,7 @@ from meshca import (
     MINIMIZE,
     IemScore,
     ValidationError,
-    XLinkSet,
     better,
-    build_xls,
     cdal_cost,
     channel_loads,
     cxls_wt,
@@ -20,11 +18,17 @@ from meshca import (
     score,
     tid,
     uniform_assignment,
-    xls_weight,
 )
 from meshca.metrics import LinkState, path_weight, xls_paths
 
 E2_CA = {(n, r): r for n in range(3) for r in range(2)}
+
+
+def path_weights(topo, ca, x):
+    """path_weight of every enumerate_xls path, in path order."""
+    state = LinkState(topo, ca)
+    hops, _ = xls_paths(topo, x)
+    return [path_weight(state.links, state.k, path_hops) for path_hops in hops]
 
 
 class TestHandDerivedValues:
@@ -84,22 +88,23 @@ class TestEnumerateXls:
 
 
 class TestXlsWeight:
-    def test_common_channel_floor(self):
-        xls = XLinkSet(path=(0, 1, 2), hop_channels=((0,), (0,)))
-        assert xls_weight(xls) == 0.0
+    def test_common_channel_floor(self, line3_m1):
+        assert path_weights(line3_m1, uniform_assignment(line3_m1), 2) == [0.0]
 
-    def test_all_distinct_max(self):
-        xls = XLinkSet(path=(0, 1, 2), hop_channels=((0,), (1,)))
-        assert xls_weight(xls) == 2.0
+    def test_all_distinct_max(self, line3_m2_c3):
+        # AB only on channel 0, BC only on channel 2
+        ca = {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 2, (2, 0): 2, (2, 1): 1}
+        assert path_weights(line3_m2_c3, ca, 2) == [2.0]
 
     def test_mixed_realizations_mean(self, line3_m2):
-        xls = build_xls(line3_m2, E2_CA, (0, 1, 2))
-        assert xls.hop_channels == ((0, 1), (0, 1))
-        assert xls_weight(xls) == pytest.approx(1.0)
+        # both hops have one link on each of channels 0 and 1
+        state = LinkState(line3_m2, E2_CA)
+        assert state.links == [[1, 1], [1, 1]] and state.k == [2, 2]
+        assert path_weights(line3_m2, E2_CA, 2) == [pytest.approx(1.0)]
 
-    def test_broken_hop_weight_zero(self):
-        xls = XLinkSet(path=(0, 1, 2), hop_channels=((0,), ()))
-        assert xls_weight(xls) == 0.0
+    def test_broken_hop_weight_zero(self, line3_m1):
+        ca = {(0, 0): 0, (1, 0): 0, (2, 0): 1}
+        assert path_weights(line3_m1, ca, 2) == [0.0]
 
     def test_bounds(self):
         rng = random.Random(13)
@@ -107,8 +112,7 @@ class TestXlsWeight:
             topo = make_random_topology(rng)
             ca = make_random_assignment(rng, topo)
             x = topo.interference_x
-            for path in enumerate_xls(topo, x):
-                w = xls_weight(build_xls(topo, ca, path))
+            for w in path_weights(topo, ca, x):
                 assert 0.0 <= w <= x
 
     def test_closed_form_matches_enumeration(self):
@@ -116,12 +120,9 @@ class TestXlsWeight:
         for _ in range(60):
             topo = make_random_topology(rng, max_nodes=6, max_radios=3, max_channels=4)
             ca = make_random_assignment(rng, topo)
-            state = LinkState(topo, ca)
             for x in (1, 2, 3):
-                hops, _ = xls_paths(topo, x)
-                for path, path_hops in zip(enumerate_xls(topo, x), hops):
-                    expected = xls_weight(build_xls(topo, ca, path))
-                    assert path_weight(state.links, state.k, path_hops) == expected
+                for path, w in zip(enumerate_xls(topo, x), path_weights(topo, ca, x)):
+                    assert w == oracles.xls_weight_value(topo, ca, path)
 
     def test_single_radio_degenerate_realization(self):
         # with one radio per node each hop has at most one link, so the mean
@@ -130,14 +131,13 @@ class TestXlsWeight:
         for _ in range(20):
             topo = make_random_topology(rng, max_radios=1)
             ca = make_random_assignment(rng, topo)
-            for path in enumerate_xls(topo, topo.interference_x):
-                xls = build_xls(topo, ca, path)
-                if any(not opts for opts in xls.hop_channels):
-                    assert xls_weight(xls) == 0.0
+            x = topo.interference_x
+            for path, w in zip(enumerate_xls(topo, x), path_weights(topo, ca, x)):
+                combo = [ca[(a, 0)] for a, b in zip(path, path[1:]) if ca[(a, 0)] == ca[(b, 0)]]
+                if len(combo) < x:
+                    assert w == 0.0
                     continue
-                combo = [opts[0] for opts in xls.hop_channels]
-                expected = sum(1 for ch in combo if combo.count(ch) == 1)
-                assert xls_weight(xls) == expected
+                assert w == sum(1 for ch in combo if combo.count(ch) == 1)
 
 
 class TestScoreDispatch:

@@ -1,8 +1,10 @@
 import random
+import statistics
 
 import pytest
 
-from conftest import make_random_assignment
+import oracles
+from conftest import make_random_assignment, make_random_topology
 from meshca import (
     BudgetExceededError,
     SchemeConfig,
@@ -21,6 +23,7 @@ from meshca import (
     score,
     uniform_assignment,
 )
+from meshca.optimizer import node_interference
 
 
 def random_feasible_ca(topo, rng, tries=200):
@@ -43,6 +46,20 @@ class TestSchemeConfig:
     def test_rejects_bad_rule(self):
         with pytest.raises(ValidationError):
             SchemeConfig(connectivity_rule="loose")
+
+    def test_names_made_canonical(self):
+        cfg = SchemeConfig(scheme="KO", metric=" CXLS_WT ")
+        assert (cfg.scheme, cfg.metric) == ("ko", "cxls")
+
+    @pytest.mark.parametrize("field", ["seed", "max_iterations", "bio_budget", "x"])
+    @pytest.mark.parametrize("value", [2.0, True, "2"])
+    def test_rejects_non_integer(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SchemeConfig(**{field: value})
+
+    def test_rejects_x_below_one(self):
+        with pytest.raises(ValidationError, match="x must be"):
+            SchemeConfig(x=0)
 
 
 class TestInitialAssignment:
@@ -138,8 +155,39 @@ class TestEizDetect:
     def test_line_center_detected(self, line3_m1):
         assert eiz_detect(line3_m1, uniform_assignment(line3_m1)) == [1]
 
+    def test_matches_oracle_node_sums(self):
+        rng = random.Random(61)
+        for _ in range(80):
+            topo = make_random_topology(rng, max_radios=3, max_channels=4)
+            ca = make_random_assignment(rng, topo)
+            lks, degs = oracles.interference_degrees(topo, ca)
+            sums = {n.id: 0 for n in topo.nodes}
+            for (u, _, v, _, _), d in zip(lks, degs):
+                sums[u] += d
+                sums[v] += d
+            assert node_interference(topo, ca) == sums
+            vals = list(sums.values())
+            threshold = statistics.mean(vals) + statistics.pstdev(vals)
+            hot = sorted((n for n, v in sums.items() if v > threshold),
+                         key=lambda n: (-sums[n], n))
+            assert eiz_detect(topo, ca) == hot
+
 
 class TestRciMitigate:
+    def test_colocated_count_matches_radio_pair_loop(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            topo = make_random_topology(rng, max_radios=4, max_channels=3)
+            ca = make_random_assignment(rng, topo)
+            m = topo.radios_per_node
+            expected = sum(
+                ca[(n.id, r1)] == ca[(n.id, r2)]
+                for n in topo.nodes
+                for r1 in range(m)
+                for r2 in range(r1 + 1, m)
+            )
+            assert count_colocated_pairs(topo, ca) == expected
+
     def test_no_duplicates_identity(self, line3_m1):
         ca = uniform_assignment(line3_m1)
         assert rci_mitigate(line3_m1, ca, "tid") == ca

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,20 +8,30 @@ import oracles
 from conftest import make_random_assignment, make_random_topology
 from meshca import (
     ConnectivityError,
-    IncompleteAssignmentError,
     Node,
     RangeConfigError,
     Topology,
     ValidationError,
     adjacent_pairs,
-    conflict_graph,
     gen_grid,
     gen_random,
     is_ca_connected,
-    realized_links,
     uniform_assignment,
 )
-from meshca.topology import potential_neighbors
+from meshca.topology import (
+    compile_topology,
+    conflict_degrees,
+    node_histograms,
+    pair_links,
+    potential_neighbors,
+)
+
+
+def link_counts(topo, ca):
+    """(L, K) of pair_links plus the conflict degrees D of each (channel, pair)."""
+    inst = compile_topology(topo)
+    links, k = pair_links(inst, node_histograms(inst, ca))
+    return links, k, conflict_degrees(inst, links)
 
 
 class TestGenGrid:
@@ -96,75 +107,88 @@ class TestGenRandom:
 
 class TestRealizedLinks:
     def test_line_single_radio_all_same(self, line3_m1):
-        ca = uniform_assignment(line3_m1)
-        got = {(l.node_a, l.node_b, l.channel) for l in realized_links(line3_m1, ca)}
-        assert got == {(0, 1, 0), (1, 2, 0)}
+        links, k, _ = link_counts(line3_m1, uniform_assignment(line3_m1))
+        assert links == [[1, 1], [0, 0]] and k == [1, 1]
 
     def test_line_channel_break(self, line3_m1):
         ca = {(0, 0): 0, (1, 0): 0, (2, 0): 1}
-        got = {(l.node_a, l.node_b, l.channel) for l in realized_links(line3_m1, ca)}
-        assert got == {(0, 1, 0)}
+        links, k, _ = link_counts(line3_m1, ca)
+        assert links == [[1, 0], [0, 0]] and k == [1, 0]
 
     def test_parallel_links(self, line3_m2):
         ca = {(n, r): r for n in range(3) for r in range(2)}
-        got = [(l.node_a, l.node_b, l.channel) for l in realized_links(line3_m2, ca)]
-        assert sorted(got) == [(0, 1, 0), (0, 1, 1), (1, 2, 0), (1, 2, 1)]
-
-    def test_incomplete_assignment_rejected(self, line3_m1):
-        with pytest.raises(IncompleteAssignmentError):
-            realized_links(line3_m1, {(0, 0): 0})
-        with pytest.raises(IncompleteAssignmentError):
-            realized_links(line3_m1, {(0, 0): 0, (1, 0): 0, (2, 0): 9})
+        links, k, _ = link_counts(line3_m2, ca)
+        assert links == [[1, 1], [1, 1]] and k == [2, 2]
 
     def test_count_matches_radio_pair_loop(self):
         rng = random.Random(42)
         for _ in range(25):
             topo = make_random_topology(rng)
             ca = make_random_assignment(rng, topo)
-            assert len(realized_links(topo, ca)) == len(oracles.links(topo, ca))
+            links, k, _ = link_counts(topo, ca)
+            radio_pairs = oracles.links(topo, ca)
+            assert sum(k) == sum(map(sum, links)) == len(radio_pairs)
+            per_pair = Counter((u, v, ch) for u, _, v, _, ch in radio_pairs)
+            pairs = adjacent_pairs(topo)
+            assert per_pair == Counter({
+                (*pairs[p], ch): n
+                for ch, per_channel in enumerate(links)
+                for p, n in enumerate(per_channel)
+                if n
+            })
 
 
 class TestConflictGraph:
     def test_line_single_conflict(self, line3_m1):
-        cg = conflict_graph(line3_m1, uniform_assignment(line3_m1))
-        assert len(cg.edges) == 1
-        assert cg.degrees == (1, 1)
+        _, _, degrees = link_counts(line3_m1, uniform_assignment(line3_m1))
+        assert degrees == [[1, 1], [0, 0]]
 
     def test_parallel_channel_conflicts(self, line3_m2):
+        # each link conflicts only with the other pair's link on its channel
         ca = {(n, r): r for n in range(3) for r in range(2)}
-        cg = conflict_graph(line3_m2, ca)
-        assert len(cg.edges) == 2
-        # each edge joins same-channel links
-        for i, j in cg.edges:
-            assert cg.links[i].channel == cg.links[j].channel
+        _, _, degrees = link_counts(line3_m2, ca)
+        assert degrees == [[1, 1], [1, 1]]
 
     def test_distinct_channels_no_edges(self, line3_m2_c3):
         # AB only on channel 0, BC only on channel 2
         ca = {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 2, (2, 0): 2, (2, 1): 1}
-        cg = conflict_graph(line3_m2_c3, ca)
-        assert len(cg.links) == 2
-        assert cg.edges == ()
+        links, k, degrees = link_counts(line3_m2_c3, ca)
+        assert sum(k) == 2
+        assert degrees == [[0, 0], [0, 0], [0, 0]]
 
     def test_symmetric_irreflexive_same_channel(self):
+        # per channel, the degrees of all links add up to twice the number
+        # of conflicting pairs of distinct links on that channel
         rng = random.Random(7)
         for _ in range(30):
             topo = make_random_topology(rng)
             ca = make_random_assignment(rng, topo)
-            cg = conflict_graph(topo, ca)
-            for i, j in cg.edges:
-                assert i != j
-                assert cg.links[i].channel == cg.links[j].channel
-                assert i in cg.neighbors[j] and j in cg.neighbors[i]
-            assert sum(cg.degrees) == 2 * len(cg.edges)
+            links, _, degrees = link_counts(topo, ca)
+            radio_pairs = oracles.links(topo, ca)
+            for ch, (ns, ds) in enumerate(zip(links, degrees)):
+                on_ch = [lk for lk in radio_pairs if lk[4] == ch]
+                conflicts = sum(
+                    oracles.conflicting(topo, on_ch[i], on_ch[j])
+                    for i in range(len(on_ch))
+                    for j in range(i + 1, len(on_ch))
+                )
+                assert sum(n * d for n, d in zip(ns, ds)) == 2 * conflicts
 
     def test_matches_oracle_degrees(self):
+        # every link of pair p on channel ch has degree D[ch][p]
         rng = random.Random(11)
         for _ in range(20):
             topo = make_random_topology(rng)
             ca = make_random_assignment(rng, topo)
-            cg = conflict_graph(topo, ca)
+            links, _, degrees = link_counts(topo, ca)
             _, degs = oracles.interference_degrees(topo, ca)
-            assert sorted(cg.degrees) == sorted(degs)
+            got = [
+                d
+                for ns, ds in zip(links, degrees)
+                for n, d in zip(ns, ds)
+                for _ in range(n)
+            ]
+            assert sorted(got) == sorted(degs)
 
 
 class TestConnectivity:
