@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonGridTopologyError
+from .errors import NonGridTopologyError, ValidationError
 from .topology import (
     ChannelAssignment,
     RealizedLink,
@@ -123,9 +123,13 @@ def estimate_performance(
     lowest channel, then first in canonical link order); a hop with no link
     disconnects its flow. Each active link's airtime share is
     phy_rate / (1 + active conflicting links), split evenly over the flows
-    using it; a flow runs at the minimum over its hops.
+    using it; a flow runs at the minimum over its hops. A flow whose path
+    has fewer than two nodes has no hop and is a ValidationError.
     """
     check_assignment(topo, ca)
+    for flow in flows:
+        if len(flow.path) < 2:
+            raise ValidationError(f"flow path {flow.path!r} has no hop; it needs >= 2 nodes")
     inst = compile_topology(topo)
     links, k = pair_links(inst, node_histograms(inst, ca))
     degrees = conflict_degrees(inst, links)

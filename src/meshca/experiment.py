@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import NonGridTopologyError, ValidationError
 from .evaluator import build_grid_flows, estimate_performance
 from .metrics import METRICS, all_scores, canonical_metric
-from .optimizer import SCHEMES, SchemeConfig, run_scheme
+from .optimizer import SchemeConfig, run_scheme
 from .topology import Topology, check_topology
 
 REPORT_COLUMNS = (
@@ -65,18 +65,21 @@ class ExperimentConfig:
         check_topology(self.topology)
         if not (self.schemes and self.metrics and self.phy_rates and self.seeds):
             raise ValidationError("schemes, metrics, phy_rates and seeds must be non-empty")
-        self.schemes = tuple(s.lower() for s in self.schemes)
         self.metrics = tuple(canonical_metric(m) for m in self.metrics)
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ValidationError(f"unknown scheme {s!r}")
-        # the parameters every cell shares are validated once, before any cell runs
-        SchemeConfig(
-            max_iterations=self.max_iterations,
-            connectivity_rule=self.connectivity_rule,
-            bio_budget=self.bio_budget,
-            x=self.x,
-        )
+        # each scheme and the parameters every cell shares are validated (and
+        # lower-cased) by SchemeConfig once, before any cell runs
+        configs = [
+            SchemeConfig(
+                scheme=s,
+                max_iterations=self.max_iterations,
+                connectivity_rule=self.connectivity_rule,
+                bio_budget=self.bio_budget,
+                x=self.x,
+            )
+            for s in self.schemes
+        ]
+        self.schemes = tuple(c.scheme for c in configs)
+        self.connectivity_rule = configs[0].connectivity_rule
 
 
 @dataclass

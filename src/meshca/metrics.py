@@ -31,6 +31,7 @@ from operator import add
 
 from .errors import ValidationError
 from .topology import (
+    CACHE_SIZE,
     ChannelAssignment,
     RadioId,
     Topology,
@@ -92,7 +93,7 @@ def cdal_cost(topo: Topology, ca: ChannelAssignment) -> IemScore:
     return LinkState(topo, ca, "cdal").score()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def enumerate_xls(topo: Topology, x: int) -> tuple[tuple[int, ...], ...]:
     """All simple x-hop paths of the potential graph, canonical, sorted."""
     if x < 1:
@@ -159,7 +160,7 @@ def all_scores(topo: Topology, ca: ChannelAssignment, x: int | None = None) -> d
 _DIRECTIONS = {"tid": MINIMIZE, "cdal": MINIMIZE, "cxls": MAXIMIZE}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def xls_paths(
     topo: Topology, x: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

@@ -32,7 +32,6 @@ from .metrics import MAXIMIZE, IemScore, LinkState, better, canonical_metric, sc
 from .topology import (
     ChannelAssignment,
     Topology,
-    adjacent_pairs,
     check_topology,
     compile_topology,
     conflict_degrees,
@@ -56,17 +55,21 @@ class SchemeConfig:
     x: int | None = None
 
     def __post_init__(self):
-        """Validate every field; scheme is lower-cased and metric made canonical."""
+        """Validate every field; scheme and connectivity_rule are lower-cased
+        and metric made canonical."""
         scheme = self.scheme.lower() if isinstance(self.scheme, str) else self.scheme
         if scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "metric", canonical_metric(self.metric))
-        if self.connectivity_rule not in CONNECTIVITY_RULES:
+        rule = self.connectivity_rule
+        rule = rule.lower() if isinstance(rule, str) else rule
+        if rule not in CONNECTIVITY_RULES:
             raise ValidationError(
                 f"unknown connectivity rule {self.connectivity_rule!r}; "
                 f"expected one of {CONNECTIVITY_RULES}"
             )
+        object.__setattr__(self, "connectivity_rule", rule)
         for name in ("seed", "max_iterations", "bio_budget"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -188,8 +191,8 @@ def _repair(topo: Topology, state: LinkState, rule: str) -> bool:
 
     if rule == "per-pair":
         retune_idx: dict[int, int] = {}
-        for u, v in adjacent_pairs(topo):
-            if not have_link(u, v):
+        for (u, v), p in pair_index.items():
+            if not state.k[p]:
                 idx = retune_idx.get(v, 0) % m
                 retune_idx[v] = idx + 1
                 state.retune((v, idx), ca[(u, 0)])

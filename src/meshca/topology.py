@@ -1,9 +1,12 @@
 """Mesh network model: nodes, radios, ranges and realized links.
 
-A Topology is immutable and hashable; geometry-derived structures (adjacent
-node pairs, interference reach between pairs, the index-based
-CompiledTopology) are cached per topology so that repeated scoring of
-candidate channel assignments stays cheap.
+A Topology is immutable and hashable. Its geometry (adjacent node pairs,
+interference reach between pairs) is built from a uniform grid of cells,
+so each node is compared only with the nodes of nearby cells. Everything
+derived from a topology lives on its index-based CompiledTopology, and
+compile_topology keeps the CACHE_SIZE most recently used ones, so repeated
+scoring of candidate channel assignments stays cheap while memory stays
+bounded.
 """
 
 from __future__ import annotations
@@ -174,67 +177,94 @@ def gen_random(
 
 
 # ---------------------------------------------------------------------------
-# Cached geometry derived from a topology
+# Geometry derived from a topology
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def positions(topo: Topology) -> dict[int, tuple[float, float]]:
-    return {n.id: (n.x, n.y) for n in topo.nodes}
+#: Entries kept by each per-topology cache (compile_topology here,
+#: enumerate_xls and xls_paths in metrics): enough for the few meshes one
+#: computation alternates between, without keeping every mesh it ever saw.
+CACHE_SIZE = 8
+
+#: Cell indices are taken only where |coordinate / cell side| < _MAX_CELL;
+#: there the rounded quotient is within 1/8 of the exact one (see _near).
+_MAX_CELL = 2.0 ** 50
 
 
-@lru_cache(maxsize=None)
-def radios(topo: Topology) -> tuple[RadioId, ...]:
-    """All radios in ascending (node id, radio index) order."""
+def _near(points: list[tuple[float, float]], dist: float) -> list[list[int]]:
+    """near[i]: the indices j, ascending, with math.dist(points[i], points[j]) <= dist.
+
+    Points are bucketed into square cells of side dist, and each is tested
+    only against the points of the 5x5 cells centred on its own. The window
+    is conservative under rounding: two points that pass the test lie at
+    most dist * (1 + 2^-50) apart on each axis, and each quotient
+    coordinate / dist is off by less than 1/8, so their cell indices differ
+    by less than 2 + 1/4 + 2^-50, i.e. by at most 2. A point with a quotient
+    of _MAX_CELL or more (or not finite), and every point when dist is not
+    > 0, gets no cell; it is tested against all points, and every point is
+    tested against it. near[i] holds i itself when points[i] is finite and
+    dist >= 0.
+    """
+    cells: dict[tuple[int, int], list[int]] = {}
+    loose: list[int] = []
+    for i, (x, y) in enumerate(points):
+        if dist > 0:
+            cx, cy = x / dist, y / dist
+            if abs(cx) < _MAX_CELL and abs(cy) < _MAX_CELL:
+                cells.setdefault((math.floor(cx), math.floor(cy)), []).append(i)
+                continue
+        loose.append(i)
+
+    near: list[list[int]] = [[] for _ in points]
+    for (cx, cy), members in cells.items():
+        window = [
+            j
+            for gx in range(cx - 2, cx + 3)
+            for gy in range(cy - 2, cy + 3)
+            for j in cells.get((gx, gy), ())
+        ]
+        window += loose
+        window.sort()
+        for i in members:
+            p = points[i]
+            near[i] = [j for j in window if math.dist(p, points[j]) <= dist]
+    for i in loose:
+        p = points[i]
+        near[i] = [j for j, q in enumerate(points) if math.dist(p, q) <= dist]
+    return near
+
+
+def adjacent_pairs(topo: Topology) -> tuple[tuple[int, int], ...]:
+    """Node pairs within transmission range, canonical (u < v), sorted.
+
+    Built from a cell grid on every call; compile_topology keeps them for
+    the topology (the keys of CompiledTopology.pair_index, in order).
+    """
+    nodes = sorted(topo.nodes, key=lambda n: n.id)
+    near = _near([(n.x, n.y) for n in nodes], topo.tx_range)
     return tuple(
-        (n.id, r) for n in topo.nodes for r in range(topo.radios_per_node)
+        (nodes[i].id, nodes[j].id) for i, js in enumerate(near) for j in js if j > i
     )
 
 
-@lru_cache(maxsize=None)
-def adjacent_pairs(topo: Topology) -> tuple[tuple[int, int], ...]:
-    """Node pairs within transmission range, canonical (u < v), sorted."""
-    pos = positions(topo)
-    ids = sorted(pos)
-    out = []
-    for i, u in enumerate(ids):
-        for v in ids[i + 1:]:
-            if math.dist(pos[u], pos[v]) <= topo.tx_range:
-                out.append((u, v))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def potential_neighbors(topo: Topology) -> dict[int, tuple[int, ...]]:
-    nbrs: dict[int, list[int]] = {n.id: [] for n in topo.nodes}
-    for u, v in adjacent_pairs(topo):
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return {u: tuple(sorted(vs)) for u, vs in nbrs.items()}
-
-
-def _pair_min_distance(topo: Topology, pa: tuple[int, int], pb: tuple[int, int]) -> float:
-    if set(pa) & set(pb):
-        return 0.0
-    pos = positions(topo)
-    return min(math.dist(pos[a], pos[b]) for a in pa for b in pb)
-
-
-@lru_cache(maxsize=None)
 def interfering_pairs(topo: Topology) -> tuple[tuple[int, ...], ...]:
     """For each adjacent-pair index, the other pair indices within interference reach.
 
-    Two links can conflict only if their node pairs are geometrically within
-    interference_x * tx_range of each other (minimum endpoint distance).
+    Pair q is within reach of pair p iff some endpoint of q lies within
+    interference_x * tx_range of some endpoint of p (a shared endpoint lies
+    at distance 0), so reach[p] is the sorted union of the pairs incident to
+    the nodes near either endpoint of p, without p. Built from a cell grid
+    on every call; CompiledTopology.reach keeps it for the topology.
     """
-    pairs = adjacent_pairs(topo)
-    reach = topo.interference_range
-    hits: list[list[int]] = [[] for _ in pairs]
-    for i, pa in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            if _pair_min_distance(topo, pa, pairs[j]) <= reach:
-                hits[i].append(j)
-                hits[j].append(i)
-    return tuple(tuple(h) for h in hits)
+    inst = compile_topology(topo)
+    near = _near([(n.x, n.y) for n in topo.nodes], topo.interference_range)
+    at = [[p for p, _ in inc] for inc in inst.incident]
+    hits = []
+    for p, (i, j) in enumerate(inst.pairs):
+        found = {q for w in near[i] for q in at[w]}
+        found.update(q for w in near[j] for q in at[w])
+        found.discard(p)
+        hits.append(tuple(sorted(found)))
+    return tuple(hits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +275,8 @@ class CompiledTopology:
     pairs[p] is adjacent_pairs(topo)[p] as node indices, pair_index maps the
     node-id pair adjacent_pairs(topo)[p] back to p, and incident[i] lists
     (pair index, other node index) for every adjacent pair of node i, in pair
-    order. reach is interfering_pairs(topo) itself, built on first use.
+    order. radios and neighbors are what radios() and potential_neighbors()
+    return. reach is interfering_pairs(topo), built on first use.
     """
 
     topo: Topology
@@ -254,15 +285,17 @@ class CompiledTopology:
     pairs: tuple[tuple[int, int], ...]
     pair_index: dict[tuple[int, int], int]
     incident: tuple[tuple[tuple[int, int], ...], ...]
+    radios: tuple[RadioId, ...]
+    neighbors: dict[int, tuple[int, ...]]
 
     @cached_property
     def reach(self) -> tuple[tuple[int, ...], ...]:
         return interfering_pairs(self.topo)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def compile_topology(topo: Topology) -> CompiledTopology:
-    """The topology's CompiledTopology, built once and cached like its geometry."""
+    """The topology's CompiledTopology, kept for the CACHE_SIZE most recently used."""
     ids = topo.node_ids()
     index = {node: i for i, node in enumerate(ids)}
     id_pairs = adjacent_pairs(topo)
@@ -278,7 +311,21 @@ def compile_topology(topo: Topology) -> CompiledTopology:
         pairs=pairs,
         pair_index={pair: p for p, pair in enumerate(id_pairs)},
         incident=tuple(tuple(inc) for inc in incident),
+        radios=tuple((n.id, r) for n in topo.nodes for r in range(topo.radios_per_node)),
+        neighbors={
+            ids[i]: tuple(sorted(ids[w] for _, w in inc)) for i, inc in enumerate(incident)
+        },
     )
+
+
+def radios(topo: Topology) -> tuple[RadioId, ...]:
+    """All radios in (node id, radio index) order, nodes in topology order."""
+    return compile_topology(topo).radios
+
+
+def potential_neighbors(topo: Topology) -> dict[int, tuple[int, ...]]:
+    """Each node id's neighbors within transmission range, ascending."""
+    return compile_topology(topo).neighbors
 
 
 def is_potential_connected(topo: Topology) -> bool:

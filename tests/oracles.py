@@ -29,6 +29,24 @@ def adjacency(topo):
     return pairs
 
 
+def pair_reach(topo, pairs, i):
+    """Indices j != i of the pairs with an endpoint within interference_x *
+    tx_range of an endpoint of pairs[i] (a shared endpoint is at distance 0)."""
+    pts = {n.id: (n.x, n.y) for n in topo.nodes}
+    reach = topo.interference_x * topo.tx_range
+    return tuple(
+        j
+        for j, q in enumerate(pairs)
+        if j != i and min(_dist(pts[a], pts[b]) for a in pairs[i] for b in q) <= reach
+    )
+
+
+def reach(topo):
+    """pair_reach of every adjacency pair, in adjacency order."""
+    pairs = adjacency(topo)
+    return tuple(pair_reach(topo, pairs, i) for i in range(len(pairs)))
+
+
 def links(topo, ca):
     """Every (u, ru, v, rv, channel) with matching channels, u < v."""
     out = []

@@ -8,6 +8,7 @@ from meshca import (
     FlowSpec,
     IncompleteAssignmentError,
     NonGridTopologyError,
+    ValidationError,
     build_grid_flows,
     estimate_performance,
     gen_grid,
@@ -136,6 +137,13 @@ class TestEstimatePerformance:
             estimate_performance(line3_m1, {(0, 0): 0}, flows, 9.0)
         with pytest.raises(IncompleteAssignmentError):
             estimate_performance(line3_m1, {(0, 0): 0, (1, 0): 0, (2, 0): 9}, flows, 9.0)
+
+    @pytest.mark.parametrize("path", [(0,), ()])
+    def test_flow_without_hop_rejected(self, path):
+        topo = gen_grid(1, 2, 100, 100, 2, 1, 2)
+        flows = [FlowSpec(0, 1, (0, 1)), FlowSpec(0, 0, path)]
+        with pytest.raises(ValidationError, match="no hop"):
+            estimate_performance(topo, uniform_assignment(topo), flows, 9.0)
 
     def test_matches_radio_level_oracle(self):
         # random grids and assignments, the grid flows plus a duplicate flow

@@ -30,6 +30,22 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(topology=topo, schemes=("pio", "magic"))
 
+    def test_rejects_non_string_scheme(self):
+        topo = gen_grid(2, 2, 100, 100, 2, 1, 2)
+        with pytest.raises(ValidationError, match="unknown scheme"):
+            ExperimentConfig(topology=topo, schemes=("pio", None))
+
+    @pytest.mark.parametrize("rule", ["global", "Global", "per-pair", "PER-PAIR"])
+    def test_names_lower_cased(self, rule):
+        topo = gen_grid(2, 2, 100, 100, 2, 1, 2)
+        cfg = ExperimentConfig(topology=topo, schemes=("PIO", "Ko"), connectivity_rule=rule)
+        assert (cfg.schemes, cfg.connectivity_rule) == (("pio", "ko"), rule.lower())
+
+    def test_rejects_unknown_rule(self):
+        topo = gen_grid(2, 2, 100, 100, 2, 1, 2)
+        with pytest.raises(ValidationError, match="connectivity rule"):
+            ExperimentConfig(topology=topo, connectivity_rule="loose")
+
     @pytest.mark.parametrize("x", [2.0, 0, "2"])
     def test_rejects_bad_x_before_any_cell(self, x):
         topo = gen_grid(2, 2, 100, 100, 2, 1, 2)

@@ -51,6 +51,10 @@ class TestSchemeConfig:
         cfg = SchemeConfig(scheme="KO", metric=" CXLS_WT ")
         assert (cfg.scheme, cfg.metric) == ("ko", "cxls")
 
+    @pytest.mark.parametrize("rule", ["global", "Global", "per-pair", "PER-PAIR"])
+    def test_rule_lower_cased(self, rule):
+        assert SchemeConfig(connectivity_rule=rule).connectivity_rule == rule.lower()
+
     @pytest.mark.parametrize("field", ["seed", "max_iterations", "bio_budget", "x"])
     @pytest.mark.parametrize("value", [2.0, True, "2"])
     def test_rejects_non_integer(self, field, value):
