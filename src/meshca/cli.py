@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import BudgetExceededError, MeshCAError
+from .errors import BudgetExceededError, MeshCAError, ValidationError
 from .evaluator import build_grid_flows, estimate_performance
 from .experiment import (
     DEFAULT_RATES,
@@ -38,7 +38,7 @@ from .fileio import (
     topology_from_dict,
 )
 from .metrics import METRICS, all_scores
-from .optimizer import SCHEMES, SchemeConfig, run_scheme
+from .optimizer import CONNECTIVITY_RULES, SCHEMES, SchemeConfig, run_scheme
 from .topology import adjacent_pairs, check_assignment, gen_grid, gen_random
 
 EXIT_OK = 0
@@ -66,6 +66,19 @@ def _positive_int(flag: str):
 
 def _csv_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _parse_items(flag: str, items: list[str] | None, parse, kind: str) -> list | None:
+    """Convert a comma-list flag's items; one that does not parse is a ValidationError."""
+    if items is None:
+        return None
+    values = []
+    for item in items:
+        try:
+            values.append(parse(item))
+        except ValueError:
+            raise ValidationError(f"{flag} item {item!r} is not {kind}") from None
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     assign.add_argument("--metric", choices=METRICS, default="tid")
     assign.add_argument("--seed", type=int, default=0)
     assign.add_argument("--max-iterations", type=_positive_int("--max-iterations"), default=100)
-    assign.add_argument("--connectivity-rule", choices=("global", "per-pair"), default="global")
+    assign.add_argument("--connectivity-rule", choices=CONNECTIVITY_RULES, default="global")
     assign.add_argument("--bio-budget", type=_positive_int("--bio-budget"), default=10_000_000)
     assign.add_argument("--x", type=_positive_int("--x"), default=None)
     assign.add_argument("-o", "--output", default="assignment.json")
@@ -137,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seeds", type=_csv_list, default=None, help="comma list (default 1,2,3,4,5)")
     exp.add_argument("--x", type=_positive_int("--x"), default=None)
     exp.add_argument("--max-iterations", type=_positive_int("--max-iterations"), default=100)
-    exp.add_argument("--connectivity-rule", choices=("global", "per-pair"), default="global")
+    exp.add_argument("--connectivity-rule", choices=CONNECTIVITY_RULES, default="global")
     exp.add_argument("--bio-budget", type=_positive_int("--bio-budget"), default=10_000_000)
     exp.add_argument("--out", default=None, help="output directory (default: $MESHCA_OUTPUT_DIR or ./meshca-out)")
     exp.add_argument("--formats", type=_csv_list, default=None, help="comma list of csv,json (default both)")
@@ -202,7 +215,6 @@ def cmd_assign(args) -> int:
 def cmd_score(args) -> int:
     topo = load_topology(args.topology)
     ca = load_assignment(args.assignment)
-    check_assignment(topo, ca)
     values = all_scores(topo, ca, args.x)
     if args.json:
         print(json.dumps(
@@ -262,8 +274,12 @@ def _experiment_config(args) -> tuple[ExperimentConfig, Path, list[str]]:
         topology=topo,
         schemes=tuple(pick(args.schemes, "schemes", DEFAULT_SCHEMES)),
         metrics=tuple(pick(args.metrics, "metrics", METRICS)),
-        phy_rates=tuple(float(r) for r in pick(args.rates, "phy_rates", DEFAULT_RATES)),
-        seeds=tuple(int(s) for s in pick(args.seeds, "seeds", DEFAULT_SEEDS)),
+        phy_rates=tuple(pick(
+            _parse_items("--rates", args.rates, float, "a number"), "phy_rates", DEFAULT_RATES
+        )),
+        seeds=tuple(pick(
+            _parse_items("--seeds", args.seeds, int, "an integer"), "seeds", DEFAULT_SEEDS
+        )),
         x=args.x if args.x is not None else file_cfg.get("x"),
         max_iterations=args.max_iterations,
         connectivity_rule=args.connectivity_rule,

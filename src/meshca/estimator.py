@@ -13,7 +13,7 @@ import dataclasses
 from .errors import ValidationError
 from .metrics import MAXIMIZE, all_scores
 from .optimizer import SchemeConfig, run_scheme
-from .topology import Topology, check_topology
+from .topology import Topology
 
 
 class ChannelAssigner:
@@ -69,7 +69,6 @@ class ChannelAssigner:
 
     def fit(self, topology: Topology, y=None) -> "ChannelAssigner":
         """Optimize an assignment for the topology; returns self."""
-        check_topology(topology)
         cfg = self._config()
         ca, final, trace = run_scheme(topology, cfg)
         self.topology_ = topology

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import NonGridTopologyError, ValidationError
 from .topology import (
@@ -111,6 +112,16 @@ def build_grid_flows(
     return flows
 
 
+def check_phy_rate(phy_rate: float) -> None:
+    """Require a PHY rate (Mbps) that is a finite real number > 0, not a bool."""
+    if (
+        isinstance(phy_rate, bool)
+        or not isinstance(phy_rate, Real)
+        or not (math.isfinite(phy_rate) and phy_rate > 0)
+    ):
+        raise ValidationError(f"phy_rate must be a finite number > 0, got {phy_rate!r}")
+
+
 def estimate_performance(
     topo: Topology,
     ca: ChannelAssignment,
@@ -124,8 +135,10 @@ def estimate_performance(
     disconnects its flow. Each active link's airtime share is
     phy_rate / (1 + active conflicting links), split evenly over the flows
     using it; a flow runs at the minimum over its hops. A flow whose path
-    has fewer than two nodes has no hop and is a ValidationError.
+    has fewer than two nodes has no hop and is a ValidationError, as is a
+    phy_rate check_phy_rate rejects.
     """
+    check_phy_rate(phy_rate)
     check_assignment(topo, ca)
     for flow in flows:
         if len(flow.path) < 2:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import NonGridTopologyError, ValidationError
-from .evaluator import build_grid_flows, estimate_performance
+from .evaluator import build_grid_flows, check_phy_rate, estimate_performance
 from .metrics import METRICS, all_scores, canonical_metric
 from .optimizer import SchemeConfig, run_scheme
 from .topology import Topology, check_topology
@@ -66,8 +66,13 @@ class ExperimentConfig:
         if not (self.schemes and self.metrics and self.phy_rates and self.seeds):
             raise ValidationError("schemes, metrics, phy_rates and seeds must be non-empty")
         self.metrics = tuple(canonical_metric(m) for m in self.metrics)
-        # each scheme and the parameters every cell shares are validated (and
-        # lower-cased) by SchemeConfig once, before any cell runs
+        # every rate, seed and scheme and the parameters every cell shares are
+        # checked as the cells check them (schemes lower-cased), before any runs
+        for rate in self.phy_rates:
+            check_phy_rate(rate)
+        self.phy_rates = tuple(float(r) for r in self.phy_rates)
+        for seed in self.seeds:
+            SchemeConfig(seed=seed)
         configs = [
             SchemeConfig(
                 scheme=s,

@@ -14,10 +14,11 @@ Every optimization step is non-worsening, so for one (topology, metric,
 seed) the final scores satisfy ho >= ko >= pio in the metric's direction by
 construction. All schemes are deterministic given their inputs.
 
-Each call validates its assignment once and keeps it in a metrics.LinkState:
-a candidate retune updates only the link counts of the radio's node and is
-scored and checked for feasibility from them, with the same values a full
-rescore gives.
+Each pio/ko/ho run validates its assignment once and keeps it in one
+metrics.LinkState, built by initial_assignment with the run's metric and x;
+every later phase retunes that state in place. A candidate retune updates
+only the link counts of the radio's node and is scored and checked for
+feasibility from them, with the same values a full rescore gives.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ValidationError
-from .metrics import MAXIMIZE, IemScore, LinkState, better, canonical_metric, score
+from .metrics import MAXIMIZE, IemScore, LinkState, better, canonical_metric
 from .topology import (
     ChannelAssignment,
     Topology,
@@ -124,26 +125,24 @@ def _state_ok(state: LinkState, rule: str) -> bool:
     return state.connected()
 
 
-def _count_moves(old: ChannelAssignment, new: ChannelAssignment) -> int:
-    return sum(1 for r in old if old[r] != new[r])
-
-
-def initial_assignment(
-    topo: Topology, seed: int, connectivity_rule: str = "global"
-) -> tuple[ChannelAssignment, bool]:
+def initial_assignment(topo: Topology, cfg: SchemeConfig) -> tuple[LinkState, bool]:
     """Round-robin starting assignment, repaired and optionally perturbed.
 
     Radio r of node v starts on channel (v + r) mod c. A repair pass then
-    restores the connectivity rule where the round-robin pattern broke it.
-    For seed > 0, exactly n*m random single-radio retunes are attempted, each
-    kept only if the rule still holds. Returns (assignment, feasible); an
-    unsatisfiable rule is flagged, never raised.
+    restores cfg's connectivity rule where the round-robin pattern broke it.
+    For cfg.seed > 0, exactly n*m random single-radio retunes are attempted,
+    each kept only if the rule still holds. Returns (state, feasible): the
+    run's LinkState, tracking cfg's metric and x, and whether the rule holds;
+    an unsatisfiable rule is flagged, never raised.
     """
     c = topo.channel_count
-    state = LinkState(topo, {(v, r): (v + r) % c for (v, r) in radios(topo)})
-    feasible = _repair(topo, state, connectivity_rule)
-    if seed > 0:
-        rng = random.Random(seed)
+    rule = cfg.connectivity_rule
+    state = LinkState(
+        topo, {(v, r): (v + r) % c for (v, r) in radios(topo)}, cfg.metric, cfg.x
+    )
+    feasible = _repair(topo, state, rule)
+    if cfg.seed > 0:
+        rng = random.Random(cfg.seed)
         rlist = radios(topo)
         for _ in range(len(rlist)):
             radio = rlist[rng.randrange(len(rlist))]
@@ -152,11 +151,11 @@ def initial_assignment(
             if new_ch == old_ch:
                 continue
             state.retune(radio, new_ch)
-            if _state_ok(state, connectivity_rule):
+            if _state_ok(state, rule):
                 feasible = True
             else:
                 state.retune(radio, old_ch)
-    return state.ca, feasible
+    return state, feasible
 
 
 def _repair(topo: Topology, state: LinkState, rule: str) -> bool:
@@ -201,30 +200,25 @@ def _repair(topo: Topology, state: LinkState, rule: str) -> bool:
 
 
 def improve_sweep(
-    topo: Topology,
-    ca: ChannelAssignment,
-    metric: str,
-    order: list | tuple,
-    connectivity_rule: str = "global",
-    x: int | None = None,
-) -> tuple[ChannelAssignment, bool]:
-    """One coordinate-descent pass over the radios in the given order.
+    state: LinkState, order: list | tuple, connectivity_rule: str = "global"
+) -> int:
+    """One coordinate-descent pass over the radios in the given order, in place.
 
-    Each radio is retuned to its best-scoring feasible channel; ties keep
-    the current channel, and ties among other channels take the lowest
-    index. The score never worsens -- from an infeasible start (violated
-    precondition) a feasibility-restoring retune is taken only when it is
-    score-neutral or better. Returns (assignment, improved).
+    Each radio is retuned to its best-scoring feasible channel under the
+    state's metric; ties keep the current channel, and ties among other
+    channels take the lowest index. The score never worsens -- from an
+    infeasible start (violated precondition) a feasibility-restoring retune
+    is taken only when it is score-neutral or better. Returns the number of
+    radios moved.
     """
-    state = LinkState(topo, ca, metric, x)
     cur_feasible = _state_ok(state, connectivity_rule)
     cur_score = state.score()
-    improved = False
+    moves = 0
     for radio in order:
         cur_ch = state.ca[radio]
         best_ch = cur_ch if cur_feasible else None
         best_score = cur_score if cur_feasible else None
-        for ch in range(topo.channel_count):
+        for ch in range(state.inst.topo.channel_count):
             if ch == cur_ch:
                 continue
             state.retune(radio, ch)
@@ -237,15 +231,14 @@ def improve_sweep(
             state.retune(radio, best_ch)
             cur_score = best_score
             cur_feasible = True
-            improved = True
+            moves += 1
         else:
             state.retune(radio, cur_ch)
-    return state.ca, improved
+    return moves
 
 
-def node_interference(topo: Topology, ca: ChannelAssignment) -> dict[int, int]:
+def node_interference(state: LinkState) -> dict[int, int]:
     """Per node, the summed interference degrees of its incident links."""
-    state = LinkState(topo, ca)
     inst = state.inst
     per_pair = [0] * len(inst.pairs)
     for ns, ds in zip(state.links, conflict_degrees(inst, state.links)):
@@ -257,13 +250,13 @@ def node_interference(topo: Topology, ca: ChannelAssignment) -> dict[int, int]:
     }
 
 
-def eiz_detect(topo: Topology, ca: ChannelAssignment) -> list[int]:
+def eiz_detect(state: LinkState) -> list[int]:
     """Nodes whose interference exceeds mean + one population std.
 
     These are the elevated-interference pockets; sorted by interference
     descending, ties by node id ascending.
     """
-    values = node_interference(topo, ca)
+    values = node_interference(state)
     vals = list(values.values())
     threshold = statistics.mean(vals) + statistics.pstdev(vals)
     hot = [n for n, v in values.items() if v > threshold]
@@ -276,25 +269,21 @@ def count_colocated_pairs(topo: Topology, ca: ChannelAssignment) -> int:
     return sum(n * (n - 1) // 2 for h in hist for n in h)
 
 
-def rci_mitigate(
-    topo: Topology,
-    ca: ChannelAssignment,
-    metric: str,
-    connectivity_rule: str = "global",
-    x: int | None = None,
-) -> ChannelAssignment:
-    """Break up same-channel radios co-located on one node.
+def rci_mitigate(state: LinkState, connectivity_rule: str = "global") -> int:
+    """Break up same-channel radios co-located on one node, in place.
 
     Per node (ascending id), the higher-indexed radio of each duplicate pair
     is retuned to the best-scoring channel unused at that node, considering
-    only retunes that keep the rule satisfied and do not worsen the metric.
-    Duplicates with no acceptable alternative stay put. Never increases the
-    co-located duplicate count and never worsens the score.
+    only retunes that keep the rule satisfied and do not worsen the state's
+    metric. Duplicates with no acceptable alternative stay put. Never
+    increases the co-located duplicate count and never worsens the score.
+    Returns the number of radios moved.
     """
-    state = LinkState(topo, ca, metric, x)
+    topo = state.inst.topo
     m = topo.radios_per_node
     c = topo.channel_count
     cur_score = state.score()
+    moves = 0
     for n in sorted(nd.id for nd in topo.nodes):
         stuck: set[int] = set()
         while True:
@@ -327,7 +316,8 @@ def rci_mitigate(
             else:
                 state.retune((n, dup), best_ch)
                 cur_score = best_score
-    return state.ca
+                moves += 1
+    return moves
 
 
 def bio_assign(
@@ -383,48 +373,37 @@ def run_scheme(
         )
         return ca, final, trace
 
-    ca, _ = initial_assignment(topo, cfg.seed, cfg.connectivity_rule)
-    initial = score(metric, topo, ca, cfg.x)
+    state, _ = initial_assignment(topo, cfg)
+    rule = cfg.connectivity_rule
+    initial = state.score()
     trace = OptimizationTrace(
         metric=metric, direction=initial.direction, initial_score=initial.value
     )
-    iteration = 0
     asc_order = radios(topo)
 
-    def record(new_ca: ChannelAssignment) -> ChannelAssignment:
-        nonlocal iteration, ca
-        iteration += 1
-        moves = _count_moves(ca, new_ca)
-        s = score(metric, topo, new_ca, cfg.x)
-        trace.records.append(TraceRecord(iteration, s.value, moves))
-        ca = new_ca
-        return new_ca
+    def record(moves: int) -> None:
+        trace.records.append(TraceRecord(len(trace.records) + 1, state.score().value, moves))
 
     def sweep_to_fixpoint(order_fn, budget: int) -> int:
         used = 0
         while used < budget:
-            new_ca, improved = improve_sweep(
-                topo, ca, metric, order_fn(), cfg.connectivity_rule, cfg.x
-            )
-            record(new_ca)
+            moves = improve_sweep(state, order_fn(), rule)
+            record(moves)
             used += 1
-            if not improved:
+            if not moves:
                 break
         return used
 
     if cfg.scheme == "pio":
-        new_ca, _ = improve_sweep(
-            topo, ca, metric, asc_order, cfg.connectivity_rule, cfg.x
-        )
-        record(new_ca)
+        record(improve_sweep(state, asc_order, rule))
     elif cfg.scheme == "ko":
         sweep_to_fixpoint(lambda: asc_order, cfg.max_iterations)
     else:  # ho: the ko trajectory, then co-location cleanup, then hot-first sweeps
         used = sweep_to_fixpoint(lambda: asc_order, cfg.max_iterations)
-        record(rci_mitigate(topo, ca, metric, cfg.connectivity_rule, cfg.x))
+        record(rci_mitigate(state, rule))
 
         def hot_first_order():
-            hot = eiz_detect(topo, ca)
+            hot = eiz_detect(state)
             hot_set = set(hot)
             m = topo.radios_per_node
             prioritized = [(n, r) for n in hot for r in range(m)]
@@ -433,10 +412,10 @@ def run_scheme(
 
         sweep_to_fixpoint(hot_first_order, cfg.max_iterations - used)
 
-    final = score(metric, topo, ca, cfg.x)
-    trace.feasible = _state_ok(LinkState(topo, ca), cfg.connectivity_rule)
+    final = state.score()
+    trace.feasible = _state_ok(state, rule)
     _check_monotone(trace)
-    return ca, final, trace
+    return state.ca, final, trace
 
 
 def _check_monotone(trace: OptimizationTrace) -> None:

@@ -30,6 +30,7 @@ from meshca import (
     uniform_assignment,
 )
 from meshca.cli import main as cli_main
+from meshca.metrics import LinkState
 
 TOL = 1e-9
 
@@ -217,7 +218,9 @@ def test_criterion_7_rci_postcondition():
     for ca in _sample_feasible(topo, rng, 100):
         before_pairs = count_colocated_pairs(topo, ca)
         for metric in ("tid", "cdal", "cxls"):
-            out = rci_mitigate(topo, ca, metric)
+            state = LinkState(topo, ca, metric)
+            rci_mitigate(state)
+            out = state.ca
             assert count_colocated_pairs(topo, out) <= before_pairs
             assert not better(score(metric, topo, ca), score(metric, topo, out))
             checked += 1

@@ -197,6 +197,22 @@ class TestEval:
         assert rows[0]["bottleneck"] == "0:0-1:0@0"
 
 
+    @pytest.mark.parametrize("rate", ["0", "-5", "nan", "inf"])
+    def test_bad_phy_rate_exit_one(self, tmp_path, capsys, rate):
+        topo = tmp_path / "g.json"
+        run_cli(capsys, "gen", "grid", "--rows", "1", "--cols", "2", "--spacing",
+                "100", "--tx-range", "100", "--radios", "1", "--channels", "2",
+                "-o", str(topo))
+        ca_path = tmp_path / "ca.json"
+        ca_path.write_text(json.dumps({"0:0": 0, "1:0": 0}))
+        code, out, err = run_cli(
+            capsys, "eval", "-t", str(topo), "-a", str(ca_path), f"--phy-rate={rate}")
+        assert code == 1
+        assert out == ""
+        assert "meshca: error: phy_rate must be a finite number > 0" in err
+        assert "Traceback" not in err
+
+
 class TestExperiment:
     def test_single_cell(self, tmp_path, capsys):
         outdir = tmp_path / "exp"
@@ -286,6 +302,41 @@ class TestExperiment:
         assert not (outdir / "report.csv").exists()
         data = json.loads((outdir / "report.json").read_text())
         assert len(data["rows"]) == 2  # one member + one mean
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rates", "abc", "--rates item 'abc' is not a number"),
+        ("--rates", "0", "phy_rate must be a finite number > 0, got 0.0"),
+        ("--rates", "-9", "phy_rate must be a finite number > 0, got -9.0"),
+        ("--rates", "nan", "phy_rate must be a finite number > 0, got nan"),
+        ("--seeds", "1.5", "--seeds item '1.5' is not an integer"),
+    ])
+    def test_bad_flag_item_exit_one_before_any_cell(self, tmp_path, capsys, flag, value,
+                                                    message):
+        outdir = tmp_path / "exp"
+        code, out, err = run_cli(
+            capsys, "experiment", "--rows", "1", "--cols", "2", "--radios", "1",
+            "--channels", "2", "--schemes", "pio", "--metrics", "tid",
+            "--rates", "9", "--seeds", "1", flag, value, "--out", str(outdir))
+        assert code == 1
+        assert out == ""
+        assert f"meshca: error: {message}" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_config_file_fractional_seed_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        outdir = tmp_path / "from-config"
+        config.write_text(json.dumps({
+            "schemes": ["pio"], "metrics": ["tid"], "phy_rates": [9],
+            "seeds": [1.9], "output_dir": str(outdir),
+        }))
+        code, out, err = run_cli(
+            capsys, "experiment", "--config", str(config),
+            "--rows", "1", "--cols", "2", "--radios", "1", "--channels", "2")
+        assert code == 1
+        assert out == ""
+        assert "meshca: error: seed must be an integer, got 1.9" in err
+        assert not outdir.exists()
 
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MESHCA_OUTPUT_DIR", str(tmp_path / "env-out"))

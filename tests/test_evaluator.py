@@ -145,6 +145,21 @@ class TestEstimatePerformance:
         with pytest.raises(ValidationError, match="no hop"):
             estimate_performance(topo, uniform_assignment(topo), flows, 9.0)
 
+    @pytest.mark.parametrize(
+        "rate", [0, 0.0, -5.0, float("nan"), float("inf"), float("-inf"), True, "54", None]
+    )
+    def test_bad_phy_rate_rejected(self, rate):
+        topo = gen_grid(1, 2, 100, 100, 2, 1, 2)
+        flows = [FlowSpec(0, 1, (0, 1))]
+        with pytest.raises(ValidationError, match="phy_rate"):
+            estimate_performance(topo, uniform_assignment(topo), flows, rate)
+
+    def test_integer_phy_rate_accepted(self):
+        topo = gen_grid(1, 2, 100, 100, 2, 1, 2)
+        flows = [FlowSpec(0, 1, (0, 1))]
+        report = estimate_performance(topo, uniform_assignment(topo), flows, 9)
+        assert report.aggregate_throughput_mbps == 9.0
+
     def test_matches_radio_level_oracle(self):
         # random grids and assignments, the grid flows plus a duplicate flow
         # and flows with a non-adjacent hop (after an adjacent one, too)

@@ -53,6 +53,23 @@ class TestConfig:
             ExperimentConfig(topology=topo, x=x)
 
 
+    @pytest.mark.parametrize("seed", [1.9, True, "1", None])
+    def test_rejects_non_integer_seed_before_any_cell(self, seed):
+        topo = gen_grid(2, 2, 100, 100, 2, 1, 2)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            ExperimentConfig(topology=topo, seeds=(1, seed))
+
+    @pytest.mark.parametrize("rate", [0, -9.0, float("nan"), float("inf"), True, "9"])
+    def test_rejects_bad_rate_before_any_cell(self, rate):
+        topo = gen_grid(2, 2, 100, 100, 2, 1, 2)
+        with pytest.raises(ValidationError, match="phy_rate"):
+            ExperimentConfig(topology=topo, phy_rates=(9.0, rate))
+
+    def test_integer_rates_become_floats(self):
+        topo = gen_grid(2, 2, 100, 100, 2, 1, 2)
+        assert ExperimentConfig(topology=topo, phy_rates=(9, 54.0)).phy_rates == (9.0, 54.0)
+
+
 class TestMatrix:
     def test_row_counts(self, small_report):
         assert len(small_report.rows) == 2 * 2 * 1 * 3

@@ -23,6 +23,7 @@ from meshca import (
     score,
     uniform_assignment,
 )
+from meshca.metrics import LinkState
 from meshca.optimizer import node_interference
 
 
@@ -70,39 +71,46 @@ class TestInitialAssignment:
     def test_line_repairs_to_common_channel(self, line3_m1):
         # round robin gives 0,1,0 which is fully disconnected; the repair
         # pass must restore a single shared channel
-        ca, feasible = initial_assignment(line3_m1, 0)
+        state, feasible = initial_assignment(line3_m1, SchemeConfig(seed=0))
         assert feasible
-        assert set(ca.values()) == {0}
+        assert set(state.ca.values()) == {0}
 
     def test_single_channel(self):
         topo = gen_grid(2, 2, 100, 100, 2, 2, 1)
-        ca, feasible = initial_assignment(topo, 5)
+        state, feasible = initial_assignment(topo, SchemeConfig(seed=5))
         assert feasible
-        assert set(ca.values()) == {0}
+        assert set(state.ca.values()) == {0}
 
     def test_deterministic(self):
         topo = gen_grid(3, 3, 100, 100, 2, 2, 3)
-        assert initial_assignment(topo, 9) == initial_assignment(topo, 9)
-        assert initial_assignment(topo, 9) != initial_assignment(topo, 4)
+
+        def start(seed):
+            state, feasible = initial_assignment(topo, SchemeConfig(seed=seed))
+            return state.ca, feasible
+
+        assert start(9) == start(9)
+        assert start(9) != start(4)
 
     def test_respects_rule(self):
         topo = gen_grid(3, 3, 100, 100, 2, 2, 3)
         for seed in range(6):
-            ca, feasible = initial_assignment(topo, seed)
-            assert feasible and is_ca_connected(topo, ca)
+            state, feasible = initial_assignment(topo, SchemeConfig(seed=seed))
+            assert feasible and is_ca_connected(topo, state.ca)
 
 
 class TestImproveSweep:
     def test_local_optimum_is_fixpoint(self, line3_m1):
         ca = uniform_assignment(line3_m1)
-        out, improved = improve_sweep(line3_m1, ca, "tid", radios(line3_m1))
-        assert out == ca and not improved
+        state = LinkState(line3_m1, ca, "tid")
+        moves = improve_sweep(state, radios(line3_m1))
+        assert state.ca == ca and not moves
 
     def test_single_channel_no_moves(self):
         topo = gen_grid(2, 3, 100, 100, 2, 2, 1)
         ca = uniform_assignment(topo)
-        out, improved = improve_sweep(topo, ca, "tid", radios(topo))
-        assert out == ca and not improved
+        state = LinkState(topo, ca, "tid")
+        moves = improve_sweep(state, radios(topo))
+        assert state.ca == ca and not moves
 
     def test_never_worsens(self):
         topo = gen_grid(3, 3, 100, 100, 2, 2, 3)
@@ -111,7 +119,10 @@ class TestImproveSweep:
             for _ in range(5):
                 ca = random_feasible_ca(topo, rng)
                 before = score(metric, topo, ca)
-                out, _ = improve_sweep(topo, ca, metric, radios(topo))
+                state = LinkState(topo, ca, metric)
+                moves = improve_sweep(state, radios(topo))
+                out = state.ca
+                assert moves == sum(out[r] != ca[r] for r in ca)
                 after = score(metric, topo, out)
                 assert not better(before, after)
                 assert is_ca_connected(topo, out)
@@ -149,15 +160,15 @@ class TestBioAssign:
 class TestEizDetect:
     def test_conflict_free_is_empty(self, line3_m2_c3):
         ca = {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 2, (2, 0): 2, (2, 1): 1}
-        assert eiz_detect(line3_m2_c3, ca) == []
+        assert eiz_detect(LinkState(line3_m2_c3, ca)) == []
 
     def test_uniform_interference_is_empty(self):
         # 2-node pair: both nodes see the same link conflicts
         topo = gen_grid(1, 2, 100, 100, 2, 2, 2)
-        assert eiz_detect(topo, uniform_assignment(topo)) == []
+        assert eiz_detect(LinkState(topo, uniform_assignment(topo))) == []
 
     def test_line_center_detected(self, line3_m1):
-        assert eiz_detect(line3_m1, uniform_assignment(line3_m1)) == [1]
+        assert eiz_detect(LinkState(line3_m1, uniform_assignment(line3_m1))) == [1]
 
     def test_matches_oracle_node_sums(self):
         rng = random.Random(61)
@@ -169,12 +180,13 @@ class TestEizDetect:
             for (u, _, v, _, _), d in zip(lks, degs):
                 sums[u] += d
                 sums[v] += d
-            assert node_interference(topo, ca) == sums
+            state = LinkState(topo, ca)
+            assert node_interference(state) == sums
             vals = list(sums.values())
             threshold = statistics.mean(vals) + statistics.pstdev(vals)
             hot = sorted((n for n, v in sums.items() if v > threshold),
                          key=lambda n: (-sums[n], n))
-            assert eiz_detect(topo, ca) == hot
+            assert eiz_detect(state) == hot
 
 
 class TestRciMitigate:
@@ -194,18 +206,24 @@ class TestRciMitigate:
 
     def test_no_duplicates_identity(self, line3_m1):
         ca = uniform_assignment(line3_m1)
-        assert rci_mitigate(line3_m1, ca, "tid") == ca
+        state = LinkState(line3_m1, ca, "tid")
+        assert rci_mitigate(state) == 0
+        assert state.ca == ca
 
     def test_single_channel_identity(self):
         topo = gen_grid(1, 2, 100, 100, 2, 2, 1)
         ca = uniform_assignment(topo)
-        assert rci_mitigate(topo, ca, "tid") == ca
+        state = LinkState(topo, ca, "tid")
+        assert rci_mitigate(state) == 0
+        assert state.ca == ca
 
     def test_pair_duplicates_cleared(self):
         topo = gen_grid(1, 2, 100, 100, 2, 2, 2)
         ca = uniform_assignment(topo)
         assert count_colocated_pairs(topo, ca) == 2
-        out = rci_mitigate(topo, ca, "tid")
+        state = LinkState(topo, ca, "tid")
+        rci_mitigate(state)
+        out = state.ca
         assert count_colocated_pairs(topo, out) == 0
         assert is_ca_connected(topo, out)
 
@@ -215,7 +233,10 @@ class TestRciMitigate:
         for _ in range(20):
             ca = random_feasible_ca(topo, rng)
             for metric in ("tid", "cdal", "cxls"):
-                out = rci_mitigate(topo, ca, metric)
+                state = LinkState(topo, ca, metric)
+                moves = rci_mitigate(state)
+                out = state.ca
+                assert moves == sum(out[r] != ca[r] for r in ca)
                 assert count_colocated_pairs(topo, out) <= count_colocated_pairs(topo, ca)
                 assert not better(score(metric, topo, ca), score(metric, topo, out))
 
@@ -292,9 +313,26 @@ class TestRunScheme:
             assert preserves_all_pairs(topo, ca)
 
     def test_per_pair_at_least_as_strict_as_global(self, line3_m1):
-        ca, feasible = initial_assignment(line3_m1, 0, "per-pair")
+        cfg = SchemeConfig(seed=0, connectivity_rule="per-pair")
+        state, feasible = initial_assignment(line3_m1, cfg)
         assert feasible
-        assert set(ca.values()) == {0}
+        assert set(state.ca.values()) == {0}
+
+    @pytest.mark.parametrize("metric", ["tid", "cdal", "cxls"])
+    @pytest.mark.parametrize("scheme", ["pio", "ko", "ho"])
+    def test_validates_once_per_run(self, scheme, metric, monkeypatch):
+        from meshca import metrics
+
+        calls = []
+        check = metrics.check_assignment
+
+        def counting(topo, ca):
+            calls.append(1)
+            check(topo, ca)
+
+        monkeypatch.setattr(metrics, "check_assignment", counting)
+        run_scheme(gen_grid(5, 5), SchemeConfig(scheme=scheme, metric=metric, seed=1))
+        assert len(calls) == 1
 
     def test_x_override_changes_objective(self, line3_m2_c3):
         # with x=1 every single hop is its own link set; the optimum differs

@@ -1,25 +1,29 @@
 """The optimizer's decisions equal those of full per-candidate rescoring.
 
-The reference schemes below score every candidate retune with the public
-score() and check it with is_ca_connected / preserves_all_pairs, the
-definitional form of each sweep. run_scheme with these swapped in must
-return the same assignment, score and trace as run_scheme itself, so any
-drift in candidate order, tie-breaking or feasibility shows up here.
+The reference schemes below keep the assignment in a plain dict, score every
+candidate retune with the public score() and check it with is_ca_connected /
+preserves_all_pairs, the definitional form of each sweep. ref_run_scheme
+composes them into pio, ko and ho on its own, counting moves by dict
+difference, and must return the same assignment, score and trace as
+run_scheme, so any drift in candidate order, tie-breaking, feasibility or
+phase orchestration shows up here.
 """
 
 import itertools
 import random
+import statistics
 
 import pytest
 
+import oracles
 from meshca import (
     SchemeConfig,
+    TraceRecord,
     better,
     bio_assign,
     gen_grid,
     gen_random,
     is_ca_connected,
-    optimizer,
     radios,
     run_scheme,
     score,
@@ -163,12 +167,58 @@ def ref_bio_assign(topo, cfg):
     return fallback, fallback_score, False
 
 
-def run_reference(topo, cfg, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(optimizer, "initial_assignment", ref_initial_assignment)
-        patch.setattr(optimizer, "improve_sweep", ref_improve_sweep)
-        patch.setattr(optimizer, "rci_mitigate", ref_rci_mitigate)
-        return run_scheme(topo, cfg)
+def ref_eiz_detect(topo, ca):
+    lks, degs = oracles.interference_degrees(topo, ca)
+    sums = {n.id: 0 for n in topo.nodes}
+    for (u, _, v, _, _), d in zip(lks, degs):
+        sums[u] += d
+        sums[v] += d
+    vals = list(sums.values())
+    threshold = statistics.mean(vals) + statistics.pstdev(vals)
+    return sorted((n for n, v in sums.items() if v > threshold), key=lambda n: (-sums[n], n))
+
+
+def ref_run_scheme(topo, cfg):
+    """pio: one sweep; ko: sweeps to a fixpoint; ho: ko, rci, then hot-first sweeps."""
+    metric, rule, x = cfg.metric, cfg.connectivity_rule, cfg.x
+    ca, _ = ref_initial_assignment(topo, cfg.seed, rule)
+    initial = score(metric, topo, ca, x).value
+    records = []
+    asc_order = radios(topo)
+
+    def record(new_ca):
+        nonlocal ca
+        moves = sum(1 for r in ca if ca[r] != new_ca[r])
+        value = score(metric, topo, new_ca, x).value
+        records.append(TraceRecord(len(records) + 1, value, moves))
+        ca = new_ca
+
+    def sweep_to_fixpoint(order_fn, budget):
+        used = 0
+        while used < budget:
+            new_ca, improved = ref_improve_sweep(topo, ca, metric, order_fn(), rule, x)
+            record(new_ca)
+            used += 1
+            if not improved:
+                break
+        return used
+
+    if cfg.scheme == "pio":
+        record(ref_improve_sweep(topo, ca, metric, asc_order, rule, x)[0])
+    elif cfg.scheme == "ko":
+        sweep_to_fixpoint(lambda: asc_order, cfg.max_iterations)
+    else:
+        used = sweep_to_fixpoint(lambda: asc_order, cfg.max_iterations)
+        record(ref_rci_mitigate(topo, ca, metric, rule, x))
+
+        def hot_first_order():
+            hot = ref_eiz_detect(topo, ca)
+            prioritized = [(n, r) for n in hot for r in range(topo.radios_per_node)]
+            return prioritized + [radio for radio in asc_order if radio[0] not in hot]
+
+        sweep_to_fixpoint(hot_first_order, cfg.max_iterations - used)
+    final = score(metric, topo, ca, x)
+    return ca, final, initial, records, rule_ok(topo, ca, rule)
 
 
 def outcome(result):
@@ -185,15 +235,25 @@ TOPOLOGIES = {
 
 @pytest.mark.parametrize("rule", ["global", "per-pair"])
 @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
-def test_schemes_match_full_rescoring(name, rule, monkeypatch):
+def test_schemes_match_full_rescoring(name, rule):
     topo = TOPOLOGIES[name]
     for metric in ("tid", "cdal", "cxls"):
         for seed in (0, 1, 2):
             for scheme in ("pio", "ko", "ho"):
                 cfg = SchemeConfig(scheme=scheme, metric=metric, seed=seed,
                                    connectivity_rule=rule)
-                expected = outcome(run_reference(topo, cfg, monkeypatch))
+                expected = ref_run_scheme(topo, cfg)
                 assert outcome(run_scheme(topo, cfg)) == expected, (metric, seed, scheme)
+
+
+@pytest.mark.parametrize("metric, seed, rule", [("tid", 2, "global"), ("cxls", 7, "per-pair")])
+def test_hot_first_sweeps_match_full_rescoring(metric, seed, rule):
+    # on TOPOLOGIES the hot-first sweeps start from a fixpoint that no order
+    # leaves; on this 3-radio grid the co-location cleanup moves radios first,
+    # so the order eiz_detect gives decides the outcome
+    topo = gen_grid(5, 5, 250, 250, 2, 3, 4)
+    cfg = SchemeConfig(scheme="ho", metric=metric, seed=seed, connectivity_rule=rule)
+    assert outcome(run_scheme(topo, cfg)) == ref_run_scheme(topo, cfg)
 
 
 @pytest.mark.parametrize("rule", ["global", "per-pair"])
