@@ -157,6 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once per process: parse_args leaves the parser unchanged and gives
+#: every call a fresh namespace with its own defaults
+_PARSER = build_parser()
+
+
 def cmd_gen(args) -> int:
     if args.kind == "grid":
         topo = gen_grid(
@@ -328,8 +333,7 @@ def cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "gen": cmd_gen,
         "assign": cmd_assign,

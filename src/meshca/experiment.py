@@ -1,7 +1,8 @@
 """Scheme x metric x rate x seed experiment matrix with CSV reporting.
 
-Each cell optimizes an assignment, scores it under all three metrics and
-runs the flow-contention estimator on the grid traffic pattern. Rows are
+Each (scheme, metric, seed) cell optimizes an assignment once and scores it
+under all three metrics; the flow-contention estimator then runs it on the
+grid traffic pattern at every PHY rate, one row per rate. Rows are
 sorted by (scheme, metric, rate, seed); every (scheme, metric, rate) group
 is followed by a mean row whose seed column is "mean".
 """
@@ -85,6 +86,13 @@ class ExperimentConfig:
         ]
         self.schemes = tuple(c.scheme for c in configs)
         self.connectivity_rule = configs[0].connectivity_rule
+        # a repeated item (after canonicalization) would rerun identical cells
+        # and weigh them twice in the mean rows
+        for name in ("schemes", "metrics", "phy_rates", "seeds"):
+            items = getattr(self, name)
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ValidationError(f"{item!r} is repeated in {name}")
 
 
 @dataclass
@@ -113,20 +121,13 @@ class ExperimentReport:
         return out
 
 
-def _run_cell(cfg: ExperimentConfig, scheme, metric, rate, seed, flows) -> dict:
-    row = {
-        "scheme": scheme,
-        "metric": metric,
-        "phy_rate_mbps": rate,
-        "seed": seed,
-        "tid": None,
-        "cdal_cost": None,
-        "cxls_wt": None,
-        "est_aggregate_throughput_mbps": None,
-        "iterations": None,
-        "wall_ms": None,
-        "error": "",
-    }
+def _run_cell(cfg: ExperimentConfig, scheme, metric, seed, rates, flows) -> list[dict]:
+    """Optimize and score one (scheme, metric, seed) cell once; one row per rate.
+
+    An optimization error goes into every rate's row, an evaluation error
+    only into its own. wall_ms is the shared optimization and scoring time
+    plus that rate's evaluation time.
+    """
     start = time.perf_counter()
     try:
         scheme_cfg = SchemeConfig(
@@ -140,17 +141,37 @@ def _run_cell(cfg: ExperimentConfig, scheme, metric, rate, seed, flows) -> dict:
         )
         ca, _, trace = run_scheme(cfg.topology, scheme_cfg)
         values = all_scores(cfg.topology, ca, cfg.x)
-        row["tid"] = values["tid"]
-        row["cdal_cost"] = values["cdal"]
-        row["cxls_wt"] = values["cxls"]
-        row["iterations"] = len(trace.records)
-        if flows is not None:
-            report = estimate_performance(cfg.topology, ca, flows, rate)
-            row["est_aggregate_throughput_mbps"] = report.aggregate_throughput_mbps
-    except Exception as exc:  # recorded per-run, surfaces as exit status 3
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    row["wall_ms"] = round((time.perf_counter() - start) * 1000, 3)
-    return row
+        shared = {"tid": values["tid"], "cdal_cost": values["cdal"], "cxls_wt": values["cxls"],
+                  "iterations": len(trace.records), "error": ""}
+    except Exception as exc:  # recorded in every rate's row, surfaces as exit status 3
+        ca, shared = None, {"error": f"{type(exc).__name__}: {exc}"}
+    optimize_s = time.perf_counter() - start
+
+    rows = []
+    for rate in rates:
+        start = time.perf_counter()
+        row = dict.fromkeys(REPORT_COLUMNS)
+        row.update(shared, scheme=scheme, metric=metric, phy_rate_mbps=rate, seed=seed)
+        if ca is not None and flows is not None:
+            try:
+                report = estimate_performance(cfg.topology, ca, flows, rate)
+                row["est_aggregate_throughput_mbps"] = report.aggregate_throughput_mbps
+            except Exception as exc:
+                row["error"] = f"{type(exc).__name__}: {exc}"
+        row["wall_ms"] = round((optimize_s + time.perf_counter() - start) * 1000, 3)
+        rows.append(row)
+    return rows
+
+
+def _mean_row(group: tuple[dict, ...]) -> dict:
+    """The seed="mean" row of one (scheme, metric, rate) group, over its error-free rows."""
+    members = [r for r in group if not r["error"]]
+    mean = {col: group[0][col] for col in ("scheme", "metric", "phy_rate_mbps")}
+    mean.update(seed="mean", error="")
+    for col in VALUE_COLUMNS:
+        vals = [r[col] for r in members if r[col] is not None]
+        mean[col] = statistics.fmean(vals) if vals else None
+    return mean
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -159,34 +180,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     except NonGridTopologyError:
         flows = None  # throughput column stays empty on non-grid layouts
 
-    rows = []
+    rates = sorted(cfg.phy_rates)
+    rows, mean_rows = [], []
     for scheme in sorted(cfg.schemes):
         for metric in sorted(cfg.metrics):
-            for rate in sorted(cfg.phy_rates):
-                for seed in sorted(cfg.seeds):
-                    rows.append(_run_cell(cfg, scheme, metric, rate, seed, flows))
-
-    mean_rows = []
-    for scheme in sorted(cfg.schemes):
-        for metric in sorted(cfg.metrics):
-            for rate in sorted(cfg.phy_rates):
-                members = [
-                    r
-                    for r in rows
-                    if (r["scheme"], r["metric"], r["phy_rate_mbps"]) == (scheme, metric, rate)
-                    and not r["error"]
-                ]
-                mean = {
-                    "scheme": scheme,
-                    "metric": metric,
-                    "phy_rate_mbps": rate,
-                    "seed": "mean",
-                    "error": "",
-                }
-                for col in VALUE_COLUMNS:
-                    vals = [r[col] for r in members if r[col] is not None]
-                    mean[col] = statistics.fmean(vals) if vals else None
-                mean_rows.append(mean)
+            cells = [
+                _run_cell(cfg, scheme, metric, seed, rates, flows) for seed in sorted(cfg.seeds)
+            ]
+            for group in zip(*cells):  # one group per rate, members in seed order
+                rows.extend(group)
+                mean_rows.append(_mean_row(group))
 
     report = ExperimentReport(rows=rows, mean_rows=mean_rows)
     report.summary = _summarize(report)

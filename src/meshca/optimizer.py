@@ -213,28 +213,40 @@ def improve_sweep(
     """
     cur_feasible = _state_ok(state, connectivity_rule)
     cur_score = state.score()
+    channels = range(state.inst.topo.channel_count)
     moves = 0
     for radio in order:
-        cur_ch = state.ca[radio]
-        best_ch = cur_ch if cur_feasible else None
-        best_score = cur_score if cur_feasible else None
-        for ch in range(state.inst.topo.channel_count):
-            if ch == cur_ch:
-                continue
-            state.retune(radio, ch)
-            if _state_ok(state, connectivity_rule):
-                cand = state.score()
-                if not better(cur_score, cand):  # never worsen the score
-                    if best_score is None or better(cand, best_score):
-                        best_ch, best_score = ch, cand
-        if best_ch is not None and best_ch != cur_ch:
-            state.retune(radio, best_ch)
-            cur_score = best_score
-            cur_feasible = True
+        new_score = _best_retune(state, radio, channels, connectivity_rule, cur_score, cur_feasible)
+        if new_score is not None:
+            cur_score, cur_feasible = new_score, True
             moves += 1
-        else:
-            state.retune(radio, cur_ch)
     return moves
+
+
+def _best_retune(
+    state: LinkState, radio, channels, rule: str, cur_score: IemScore, keep_current: bool
+) -> IemScore | None:
+    """Move radio to its best candidate channel, in place; return the new score.
+
+    Each of channels other than the current one is tried, and the best that
+    keeps the rule satisfied and scores no worse than cur_score wins; ties go
+    to the lowest channel, or to the current one when keep_current. Returns
+    None, with the radio back on its channel, when no other channel wins.
+    """
+    old_ch = state.ca[radio]
+    best_ch, best_score = (old_ch, cur_score) if keep_current else (None, None)
+    for ch in channels:
+        if ch == old_ch:
+            continue
+        state.retune(radio, ch)
+        if _state_ok(state, rule):
+            cand = state.score()
+            if not better(cur_score, cand):  # never worsen the score
+                if best_score is None or better(cand, best_score):
+                    best_ch, best_score = ch, cand
+    moved = best_ch not in (None, old_ch)
+    state.retune(radio, best_ch if moved else old_ch)
+    return best_score if moved else None
 
 
 def node_interference(state: LinkState) -> dict[int, int]:
@@ -297,25 +309,12 @@ def rci_mitigate(state: LinkState, connectivity_rule: str = "global") -> int:
                 seen.add(node_chans[r])
             if dup is None:
                 break
-            used = set(node_chans)
-            best_ch = None
-            best_score = None
-            old_ch = node_chans[dup]
-            for ch in range(c):
-                if ch in used:
-                    continue
-                state.retune((n, dup), ch)
-                if _state_ok(state, connectivity_rule):
-                    cand = state.score()
-                    if not better(cur_score, cand):  # candidate not worse
-                        if best_score is None or better(cand, best_score):
-                            best_ch, best_score = ch, cand
-            if best_ch is None:
+            unused = [ch for ch in range(c) if ch not in node_chans]
+            new_score = _best_retune(state, (n, dup), unused, connectivity_rule, cur_score, False)
+            if new_score is None:
                 stuck.add(dup)
-                state.retune((n, dup), old_ch)
             else:
-                state.retune((n, dup), best_ch)
-                cur_score = best_score
+                cur_score = new_score
                 moves += 1
     return moves
 

@@ -330,22 +330,8 @@ def potential_neighbors(topo: Topology) -> dict[int, tuple[int, ...]]:
 
 def is_potential_connected(topo: Topology) -> bool:
     """Connectivity of the potential-communication graph (range only)."""
-    nbrs = potential_neighbors(topo)
-    return _bfs_covers(nbrs, topo.node_ids())
-
-
-def _bfs_covers(nbrs: dict[int, tuple[int, ...]], ids: tuple[int, ...]) -> bool:
-    if not ids:
-        return True
-    seen = {ids[0]}
-    queue = [ids[0]]
-    while queue:
-        u = queue.pop()
-        for v in nbrs[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(ids)
+    inst = compile_topology(topo)
+    return links_connected(inst, [1] * len(inst.pairs))
 
 
 # ---------------------------------------------------------------------------

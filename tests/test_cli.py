@@ -118,6 +118,21 @@ class TestScore:
         assert code == 0
         assert json.loads(out) == {"tid": 4.0, "cdal_cost": 0.0, "cxls_wt": 1.0}
 
+    def test_back_to_back_calls_keep_their_own_defaults(self, line3_m2_files, tmp_path,
+                                                        capsys):
+        ca_path = tmp_path / "ca.json"
+        ca_path.write_text(json.dumps(
+            {f"{n}:{r}": r for n in range(3) for r in range(2)}))
+        argv = ("score", "-t", str(line3_m2_files), "-a", str(ca_path))
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out) == {"tid": 4.0, "cdal_cost": 0.0, "cxls_wt": 1.0}
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, "tid=4.0 cdal_cost=0.0 cxls_wt=1.0\n")
+        code, out, _ = run_cli(capsys, *argv, "--x", "1")
+        assert (code, out) == (0, "tid=4.0 cdal_cost=0.0 cxls_wt=2.0\n")
+        code, again, _ = run_cli(capsys, *argv)
+        assert (code, again) == (0, "tid=4.0 cdal_cost=0.0 cxls_wt=1.0\n")
+
     def test_csv_output(self, line3_m2_files, tmp_path, capsys):
         ca_path = tmp_path / "ca.json"
         ca_path.write_text(json.dumps(
@@ -309,6 +324,10 @@ class TestExperiment:
         ("--rates", "-9", "phy_rate must be a finite number > 0, got -9.0"),
         ("--rates", "nan", "phy_rate must be a finite number > 0, got nan"),
         ("--seeds", "1.5", "--seeds item '1.5' is not an integer"),
+        ("--schemes", "pio,PIO", "'pio' is repeated in schemes"),
+        ("--metrics", "cdal,cdal_cost", "'cdal' is repeated in metrics"),
+        ("--rates", "9,9.0", "9.0 is repeated in phy_rates"),
+        ("--seeds", "1,1", "1 is repeated in seeds"),
     ])
     def test_bad_flag_item_exit_one_before_any_cell(self, tmp_path, capsys, flag, value,
                                                     message):
@@ -336,6 +355,27 @@ class TestExperiment:
         assert code == 1
         assert out == ""
         assert "meshca: error: seed must be an integer, got 1.9" in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("key, items, message", [
+        ("schemes", ["ko", "Ko"], "'ko' is repeated in schemes"),
+        ("metrics", ["cxls_wt", "cxls"], "'cxls' is repeated in metrics"),
+        ("phy_rates", [9, 9.0], "9.0 is repeated in phy_rates"),
+        ("seeds", [3, 1, 3], "3 is repeated in seeds"),
+    ])
+    def test_config_file_repeated_item_exit_one(self, tmp_path, capsys, key, items, message):
+        outdir = tmp_path / "from-config"
+        settings = {"schemes": ["pio"], "metrics": ["tid"], "phy_rates": [9], "seeds": [1],
+                    "output_dir": str(outdir)}
+        settings[key] = items
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(settings))
+        code, out, err = run_cli(
+            capsys, "experiment", "--config", str(config),
+            "--rows", "1", "--cols", "2", "--radios", "1", "--channels", "2")
+        assert code == 1
+        assert out == ""
+        assert f"meshca: error: {message}" in err
         assert not outdir.exists()
 
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):

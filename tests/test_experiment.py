@@ -1,8 +1,9 @@
 import csv
+import re
 
 import pytest
 
-from meshca import ExperimentConfig, ValidationError, gen_grid, run_experiment
+from meshca import ExperimentConfig, ValidationError, experiment, gen_grid, run_experiment
 from meshca.experiment import REPORT_COLUMNS, write_plot_data, write_report_csv
 
 
@@ -64,6 +65,17 @@ class TestConfig:
         topo = gen_grid(2, 2, 100, 100, 2, 1, 2)
         with pytest.raises(ValidationError, match="phy_rate"):
             ExperimentConfig(topology=topo, phy_rates=(9.0, rate))
+
+    @pytest.mark.parametrize("name, items, repeated", [
+        ("schemes", ("pio", "PIO"), "'pio'"),
+        ("metrics", ("cdal", "cdal_cost"), "'cdal'"),
+        ("phy_rates", (9, 9.0), "9.0"),
+        ("seeds", (1, 2, 1), "1"),
+    ])
+    def test_rejects_repeated_item(self, name, items, repeated):
+        topo = gen_grid(2, 2, 100, 100, 2, 1, 2)
+        with pytest.raises(ValidationError, match=re.escape(f"{repeated} is repeated in {name}")):
+            ExperimentConfig(topology=topo, **{name: items})
 
     def test_integer_rates_become_floats(self):
         topo = gen_grid(2, 2, 100, 100, 2, 1, 2)
@@ -141,6 +153,81 @@ class TestMatrix:
         report = run_experiment(cfg)
         assert not report.failed
         assert report.rows[0]["est_aggregate_throughput_mbps"] is None
+
+
+def two_rate_config(**overrides) -> ExperimentConfig:
+    settings = dict(
+        schemes=("pio", "ko"), metrics=("tid", "cxls"), phy_rates=(54.0, 9.0), seeds=(2, 1)
+    )
+    settings.update(overrides)
+    return ExperimentConfig(topology=gen_grid(2, 3, 100, 100, 2, 2, 3), **settings)
+
+
+def rows_by_cell(report) -> dict:
+    cells = {}
+    for row in report.rows:
+        cells.setdefault((row["scheme"], row["metric"], row["seed"]), []).append(row)
+    return cells
+
+
+class TestOncePerCell:
+    def test_run_scheme_once_per_scheme_metric_seed(self, monkeypatch):
+        calls = []
+        real = experiment.run_scheme
+
+        def counting(topo, cfg):
+            calls.append((cfg.scheme, cfg.metric, cfg.seed))
+            return real(topo, cfg)
+
+        monkeypatch.setattr(experiment, "run_scheme", counting)
+        cfg = two_rate_config()
+        report = run_experiment(cfg)
+        assert len(calls) == len(cfg.schemes) * len(cfg.metrics) * len(cfg.seeds)
+        assert len(set(calls)) == len(calls)
+        assert len(report.rows) == len(calls) * len(cfg.phy_rates)
+
+    def test_rates_of_a_cell_share_its_optimization(self):
+        cells = rows_by_cell(run_experiment(two_rate_config()))
+        assert len(cells) == 2 * 2 * 2
+        for rows in cells.values():
+            assert [r["phy_rate_mbps"] for r in rows] == [9.0, 54.0]
+            for col in ("tid", "cdal_cost", "cxls_wt", "iterations", "error"):
+                assert len({r[col] for r in rows}) == 1, col
+            assert rows[0]["tid"] is not None and rows[0]["error"] == ""
+            assert all(r["est_aggregate_throughput_mbps"] is not None for r in rows)
+
+    def test_optimization_error_in_every_rate_row(self):
+        report = run_experiment(two_rate_config(schemes=("bio", "pio"), bio_budget=100))
+        for (scheme, _, _), rows in rows_by_cell(report).items():
+            errors = {r["error"] for r in rows}
+            assert len(rows) == 2 and len(errors) == 1
+            if scheme == "bio":
+                assert errors.pop().startswith("BudgetExceededError: ")
+                assert all(r["tid"] is None and r["est_aggregate_throughput_mbps"] is None
+                           for r in rows)
+            else:
+                assert errors == {""}
+
+    def test_evaluation_error_stays_in_its_row(self, monkeypatch):
+        real = experiment.estimate_performance
+
+        def failing_at_54(topo, ca, flows, rate):
+            if rate == 54.0:
+                raise RuntimeError("no estimate at 54")
+            return real(topo, ca, flows, rate)
+
+        monkeypatch.setattr(experiment, "estimate_performance", failing_at_54)
+        report = run_experiment(two_rate_config())
+        for row in report.rows:
+            assert row["tid"] is not None
+            if row["phy_rate_mbps"] == 54.0:
+                assert row["error"] == "RuntimeError: no estimate at 54"
+                assert row["est_aggregate_throughput_mbps"] is None
+            else:
+                assert row["error"] == ""
+                assert row["est_aggregate_throughput_mbps"] is not None
+        for mean in report.mean_rows:
+            assert (mean["tid"] is None) == (mean["phy_rate_mbps"] == 54.0)
 
 
 class TestOutputs:

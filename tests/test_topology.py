@@ -21,6 +21,7 @@ from meshca import (
 from meshca.topology import (
     compile_topology,
     conflict_degrees,
+    is_potential_connected,
     node_histograms,
     pair_links,
     potential_neighbors,
@@ -202,3 +203,11 @@ class TestConnectivity:
         topo = Topology(nodes=(Node(0, 0.0, 0.0),), radios_per_node=1,
                         tx_range=10.0, interference_x=1, channel_count=1)
         assert is_ca_connected(topo, {(0, 0): 0})
+
+    def test_potential_graph_of_grid_connected(self):
+        assert is_potential_connected(gen_grid(3, 4))
+
+    def test_potential_graph_of_two_nodes_out_of_range(self):
+        topo = Topology(nodes=(Node(0, 0.0, 0.0), Node(1, 300.0, 0.0)), radios_per_node=1,
+                        tx_range=250.0, interference_x=2, channel_count=2)
+        assert not is_potential_connected(topo)
