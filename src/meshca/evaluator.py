@@ -77,10 +77,10 @@ def grid_layout(topo: Topology) -> list[list[int]]:
         if [round(n.x, 9) for n in row] != xs:
             raise NonGridTopologyError("node positions do not form a grid lattice")
     layout = [[n.id for n in row] for row in rows]
-    pos = {n.id: (n.x, n.y) for n in topo.nodes}
+    pair_index = compile_topology(topo).pair_index
 
     def in_range(a: int, b: int) -> bool:
-        return math.dist(pos[a], pos[b]) <= topo.tx_range
+        return ((a, b) if a < b else (b, a)) in pair_index
 
     for row in layout:
         for a, b in zip(row, row[1:]):

@@ -37,6 +37,7 @@ from .topology import (
     Topology,
     check_assignment,
     compile_topology,
+    conflict_degrees,
     links_connected,
     node_histograms,
     pair_links,
@@ -183,22 +184,6 @@ def xls_paths(
     return hops, tuple(tuple(t) for t in through)
 
 
-def _tid_count(links: list[list[int]], reach: tuple[tuple[int, ...], ...]) -> int:
-    """tid as an integer quadratic form of the link counts.
-
-    Each of the L[ch][p] links of pair p on channel ch conflicts with the
-    other L[ch][p] - 1 links of its pair and with every link on ch of the
-    pairs within reach of p.
-    """
-    total = 0
-    for per_channel in links:
-        get = per_channel.__getitem__
-        for p, n in enumerate(per_channel):
-            if n:
-                total += n * (n - 1 + sum(map(get, reach[p])))
-    return total
-
-
 def _channel_loads(links: list[list[int]], k: list[int]) -> list[float]:
     # shares are added one link at a time in pair order, not multiplied, so
     # each load is the same float sum as adding up the realized links
@@ -244,14 +229,16 @@ def path_weight(links: list[list[int]], k: list[int], hops: tuple[int, ...]) -> 
 class LinkState:
     """One assignment as a per-node channel histogram, scored incrementally.
 
-    Holds the assignment (ca), its histogram (h, see node_histograms), the
-    realized-link counts derived from it (links[ch][p] and k[p], see
-    pair_links) and the value of one metric (none when metric is None).
-    retune() moves one radio and touches only the pairs incident to its
-    node: tid changes by an exact integer delta, the cxls weights of the
-    paths through the node are recomputed (and summed in path order when
-    scored), and cdal is recomputed from the link counts when scored. Every
-    value is bit-identical to a full recompute. Connectivity is rechecked
+    Holds a copy of the assignment (ca), its histogram (h, see
+    node_histograms), the realized-link counts derived from it (links[ch][p]
+    and k[p], see pair_links) and the value of one metric (none when metric
+    is None). The constructor validates the assignment and scores it in
+    full, tid as the sum of L * D over conflict_degrees. retune() moves one
+    radio and touches only the pairs incident to its node: tid changes by
+    an exact integer delta, the cxls weights of the paths through the node
+    are recomputed (and summed in path order when scored), and cdal is
+    recomputed from the link counts when scored. Every value is
+    bit-identical to a full recompute. Connectivity is rechecked
     only after an incident pair lost its last link or gained its first.
     """
 
@@ -263,27 +250,23 @@ class LinkState:
         x: int | None = None,
     ):
         check_assignment(topo, ca)
-        self.inst = compile_topology(topo)
+        self.inst = inst = compile_topology(topo)
         self.metric = None if metric is None else canonical_metric(metric)
-        if self.metric == "cxls":
-            self._hops, self._through = xls_paths(
-                topo, topo.interference_x if x is None else x
-            )
-        self.load(ca)
-
-    def load(self, ca: ChannelAssignment) -> None:
-        """Replace the whole assignment and rescore it in full.
-
-        ca is not validated and is copied: a previous state.ca stays as it was.
-        """
         self.ca = dict(ca)
-        self.h = node_histograms(self.inst, ca)
-        self.links, self.k = pair_links(self.inst, self.h)
+        self.h = node_histograms(inst, ca)
+        self.links, self.k = pair_links(inst, self.h)
         self._unlinked = self.k.count(0)
         self._connected: bool | None = None
         if self.metric == "tid":
-            self._tid = _tid_count(self.links, self.inst.reach)
+            self._tid = sum(
+                n * d
+                for ns, ds in zip(self.links, conflict_degrees(inst, self.links))
+                for n, d in zip(ns, ds)
+            )
         elif self.metric == "cxls":
+            self._hops, self._through = xls_paths(
+                topo, topo.interference_x if x is None else x
+            )
             self._weights = [path_weight(self.links, self.k, hops) for hops in self._hops]
             self._dirty: set[int] = set()
 

@@ -14,9 +14,10 @@ Every optimization step is non-worsening, so for one (topology, metric,
 seed) the final scores satisfy ho >= ko >= pio in the metric's direction by
 construction. All schemes are deterministic given their inputs.
 
-Each pio/ko/ho run validates its assignment once and keeps it in one
-metrics.LinkState, built by initial_assignment with the run's metric and x;
-every later phase retunes that state in place. A candidate retune updates
+Each run validates its assignment once and keeps it in one
+metrics.LinkState with the run's metric and x: pio/ko/ho build it in
+initial_assignment and every later phase retunes it in place, and bio
+retunes it from each enumerated assignment to the next. A retune updates
 only the link counts of the radio's node and is scored and checked for
 feasibility from them, with the same values a full rescore gives.
 """
@@ -324,34 +325,30 @@ def bio_assign(
 ) -> tuple[ChannelAssignment, IemScore, bool]:
     """Enumerate all c^(n*m) assignments and keep the best feasible one.
 
-    Assignments are visited in lexicographic radio order, so score ties
-    resolve to the lexicographically smallest assignment. If nothing is
-    feasible the best infeasible assignment is returned with a False flag.
-    Raises BudgetExceededError when the space exceeds cfg.bio_budget.
+    One LinkState walks the assignments in lexicographic radio order, each
+    radio retuned to its channel in the next one, so score ties resolve to
+    the lexicographically smallest assignment. A feasible assignment beats
+    any infeasible one: if nothing is feasible the best infeasible
+    assignment is returned with a False flag. Raises BudgetExceededError
+    when the space exceeds cfg.bio_budget.
     """
     rlist = radios(topo)
     space = topo.channel_count ** len(rlist)
     if space > cfg.bio_budget:
         raise BudgetExceededError(space, cfg.bio_budget)
-    best = best_score = None
-    fallback = fallback_score = None
-    work: ChannelAssignment = dict.fromkeys(rlist, 0)
-    state = LinkState(topo, work, cfg.metric, cfg.x)
+    state = LinkState(topo, dict.fromkeys(rlist, 0), cfg.metric, cfg.x)
+    best: tuple[bool, IemScore, ChannelAssignment] | None = None
     for combo in itertools.product(range(topo.channel_count), repeat=len(rlist)):
         for radio, ch in zip(rlist, combo):
-            work[radio] = ch
-        state.load(work)
-        if _state_ok(state, cfg.connectivity_rule):
-            s = state.score()
-            if best_score is None or better(s, best_score):
-                best, best_score = state.ca, s
-        elif best is None:  # fallback only matters while nothing feasible exists
-            s = state.score()
-            if fallback_score is None or better(s, fallback_score):
-                fallback, fallback_score = state.ca, s
-    if best is not None:
-        return best, best_score, True
-    return fallback, fallback_score, False
+            state.retune(radio, ch)
+        feasible = _state_ok(state, cfg.connectivity_rule)
+        if best is not None and best[0] and not feasible:
+            continue
+        s = state.score()
+        if best is None or (feasible and not best[0]) or better(s, best[1]):
+            best = (feasible, s, dict(state.ca))
+    feasible, s, ca = best
+    return ca, s, feasible
 
 
 def run_scheme(

@@ -26,6 +26,14 @@ def line3_m2_c3():
                     radios_per_node=2, channel_count=3)
 
 
+def line_with_stray_node() -> Topology:
+    """A 3-node line (spacing = tx_range = 100, 2 radios, 2 channels) plus a node
+    out of range: the global connectivity rule cannot be met."""
+    nodes = tuple(Node(i, x, 0.0) for i, x in enumerate((0.0, 100.0, 200.0, 1000.0)))
+    return Topology(nodes, radios_per_node=2, tx_range=100.0, interference_x=2,
+                    channel_count=2)
+
+
 def make_random_topology(rng: random.Random, max_nodes=6, max_radios=2,
                          max_channels=3) -> Topology:
     """Small random instance; the potential graph may be disconnected."""

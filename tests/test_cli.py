@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from conftest import line_with_stray_node
 from meshca.cli import main
+from meshca.fileio import save_topology
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +79,18 @@ class TestAssign:
             assert code == 0
             outs.append((ca.read_bytes(), trace.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_bio_unsatisfiable_rule_flagged(self, tmp_path, capsys):
+        topo = tmp_path / "stray.json"
+        save_topology(line_with_stray_node(), topo)
+        trace = tmp_path / "ca.trace.json"
+        code, out, err = run_cli(
+            capsys, "assign", "-t", str(topo), "--scheme", "bio", "--metric", "tid",
+            "-o", str(tmp_path / "ca.json"), "--trace", str(trace))
+        assert code == 0
+        assert "warning: connectivity rule not satisfiable" in out
+        assert json.loads(trace.read_text())["feasible"] is False
+        assert "Traceback" not in err
 
     def test_budget_exceeded_exit_code(self, tmp_path, capsys):
         topo = tmp_path / "big.json"
@@ -227,6 +241,19 @@ class TestEval:
         assert "meshca: error: phy_rate must be a finite number > 0" in err
         assert "Traceback" not in err
 
+    def test_missing_radio_exit_one(self, tmp_path, capsys):
+        topo = tmp_path / "g.json"
+        run_cli(capsys, "gen", "grid", "--rows", "1", "--cols", "2", "--spacing",
+                "100", "--tx-range", "100", "--radios", "1", "--channels", "2",
+                "-o", str(topo))
+        ca_path = tmp_path / "ca.json"
+        ca_path.write_text(json.dumps({"0:0": 0}))
+        code, out, err = run_cli(capsys, "eval", "-t", str(topo), "-a", str(ca_path))
+        assert code == 1
+        assert out == ""
+        assert "meshca: error: assignment is missing radio 1:0" in err
+        assert "Traceback" not in err
+
 
 class TestExperiment:
     def test_single_cell(self, tmp_path, capsys):
@@ -249,6 +276,17 @@ class TestExperiment:
         assert member[0:4] == ["pio", "tid", "9.0", "1"]
         assert mean[3] == "mean"
         assert member[4:8] == mean[4:8]  # single member: mean equals the row
+
+    def test_summary_counts_cells_and_rows(self, tmp_path, capsys):
+        outdir = tmp_path / "exp"
+        code, out, _ = run_cli(
+            capsys, "experiment", "--rows", "1", "--cols", "3",
+            "--radios", "2", "--channels", "2",
+            "--schemes", "pio,ko", "--metrics", "tid", "--rates", "9,54",
+            "--seeds", "1,2", "--out", str(outdir))
+        assert code == 0
+        # 2 schemes x 1 metric x 2 seeds optimized, each evaluated at 2 rates
+        assert out.splitlines()[0] == f"ran 4 cells, 8 rows (0 failed); outputs in {outdir}/"
 
     def test_bio_rows_never_worse_than_ho(self, tmp_path, capsys):
         topo = tmp_path / "line.json"

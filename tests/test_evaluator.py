@@ -7,7 +7,9 @@ from conftest import make_random_assignment
 from meshca import (
     FlowSpec,
     IncompleteAssignmentError,
+    Node,
     NonGridTopologyError,
+    Topology,
     ValidationError,
     build_grid_flows,
     estimate_performance,
@@ -49,6 +51,20 @@ class TestBuildGridFlows:
     def test_layout_row_major(self):
         topo = gen_grid(2, 3, 100, 100, 2, 1, 2)
         assert grid_layout(topo) == [[0, 1, 2], [3, 4, 5]]
+
+    @staticmethod
+    def lattice(dx, dy, tx_range):
+        nodes = tuple(Node(2 * r + c, c * dx, r * dy) for r in range(2) for c in range(2))
+        return Topology(nodes, radios_per_node=1, tx_range=tx_range, interference_x=2,
+                        channel_count=2)
+
+    def test_row_neighbors_out_of_range_rejected(self):
+        with pytest.raises(NonGridTopologyError, match="grid row neighbors out of"):
+            grid_layout(self.lattice(100, 100, 90))
+
+    def test_column_neighbors_out_of_range_rejected(self):
+        with pytest.raises(NonGridTopologyError, match="grid column neighbors out of"):
+            grid_layout(self.lattice(100, 300, 150))
 
 
 class TestEstimatePerformance:

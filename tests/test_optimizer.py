@@ -334,6 +334,21 @@ class TestRunScheme:
         run_scheme(gen_grid(5, 5), SchemeConfig(scheme=scheme, metric=metric, seed=1))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("metric", ["tid", "cdal", "cxls"])
+    def test_bio_derives_links_once_per_run(self, metric, line3_m2, monkeypatch):
+        from meshca import metrics
+
+        calls = []
+        derive = metrics.pair_links
+
+        def counting(inst, hist):
+            calls.append(1)
+            return derive(inst, hist)
+
+        monkeypatch.setattr(metrics, "pair_links", counting)
+        run_scheme(line3_m2, SchemeConfig(scheme="bio", metric=metric))
+        assert len(calls) == 1
+
     def test_x_override_changes_objective(self, line3_m2_c3):
         # with x=1 every single hop is its own link set; the optimum differs
         # from the 2-hop objective but the machinery must still converge

@@ -16,6 +16,7 @@ import statistics
 import pytest
 
 import oracles
+from conftest import line_with_stray_node
 from meshca import (
     SchemeConfig,
     TraceRecord,
@@ -258,9 +259,15 @@ def test_hot_first_sweeps_match_full_rescoring(metric, seed, rule):
 
 @pytest.mark.parametrize("rule", ["global", "per-pair"])
 def test_bio_matches_full_rescoring(rule):
+    # the last one is a line plus an out-of-range node: no assignment meets
+    # the global rule, so bio returns its best infeasible assignment
     topos = [gen_grid(1, 4, 100, 100, 2, 2, 2), gen_grid(1, 3, 100, 100, 1, 2, 3),
-             gen_random(4, 300, 300, 250, 2, 1, 3, seed=5)]
+             gen_random(4, 300, 300, 250, 2, 1, 3, seed=5), line_with_stray_node()]
     for topo in topos:
         for metric in ("tid", "cdal", "cxls"):
             cfg = SchemeConfig(scheme="bio", metric=metric, connectivity_rule=rule)
             assert bio_assign(topo, cfg) == ref_bio_assign(topo, cfg), metric
+    feasible = {bio_assign(topos[-1], SchemeConfig(scheme="bio", metric=metric,
+                                                   connectivity_rule=rule))[2]
+                for metric in ("tid", "cdal", "cxls")}
+    assert feasible == {rule == "per-pair"}
