@@ -81,6 +81,15 @@ def _parse_items(flag: str, items: list[str] | None, parse, kind: str) -> list |
     return values
 
 
+def _add_run_limits(parser: argparse.ArgumentParser) -> None:
+    """The optimizer flags of assign and experiment, defaulting as SchemeConfig does."""
+    for flag in ("--max-iterations", "--bio-budget", "--x"):
+        default = getattr(SchemeConfig, flag[2:].replace("-", "_"))
+        parser.add_argument(flag, type=_positive_int(flag), default=default)
+    parser.add_argument("--connectivity-rule", choices=CONNECTIVITY_RULES,
+                        default=SchemeConfig.connectivity_rule)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="meshca", description=__doc__)
     parser.add_argument("--version", action="version", version=f"meshca {__version__}")
@@ -112,13 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     assign = sub.add_parser("assign", help="optimize a channel assignment")
     assign.add_argument("-t", "--topology", required=True)
-    assign.add_argument("--scheme", choices=SCHEMES, default="ho")
-    assign.add_argument("--metric", choices=METRICS, default="tid")
-    assign.add_argument("--seed", type=int, default=0)
-    assign.add_argument("--max-iterations", type=_positive_int("--max-iterations"), default=100)
-    assign.add_argument("--connectivity-rule", choices=CONNECTIVITY_RULES, default="global")
-    assign.add_argument("--bio-budget", type=_positive_int("--bio-budget"), default=10_000_000)
-    assign.add_argument("--x", type=_positive_int("--x"), default=None)
+    assign.add_argument("--scheme", choices=SCHEMES, default=SchemeConfig.scheme)
+    assign.add_argument("--metric", choices=METRICS, default=SchemeConfig.metric)
+    assign.add_argument("--seed", type=int, default=SchemeConfig.seed)
+    _add_run_limits(assign)
     assign.add_argument("-o", "--output", default="assignment.json")
     assign.add_argument("--trace", default=None, help="trace file path (default: <output>.trace.json)")
 
@@ -148,10 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--metrics", type=_csv_list, default=None, help="comma list (default tid,cdal,cxls)")
     exp.add_argument("--rates", type=_csv_list, default=None, help="comma list of Mbps (default 9,54)")
     exp.add_argument("--seeds", type=_csv_list, default=None, help="comma list (default 1,2,3,4,5)")
-    exp.add_argument("--x", type=_positive_int("--x"), default=None)
-    exp.add_argument("--max-iterations", type=_positive_int("--max-iterations"), default=100)
-    exp.add_argument("--connectivity-rule", choices=CONNECTIVITY_RULES, default="global")
-    exp.add_argument("--bio-budget", type=_positive_int("--bio-budget"), default=10_000_000)
+    _add_run_limits(exp)
     exp.add_argument("--out", default=None, help="output directory (default: $MESHCA_OUTPUT_DIR or ./meshca-out)")
     exp.add_argument("--formats", type=_csv_list, default=None, help="comma list of csv,json (default both)")
     return parser

@@ -35,13 +35,13 @@ class ChannelAssigner:
 
     def __init__(
         self,
-        scheme: str = "ho",
-        metric: str = "tid",
-        seed: int = 0,
-        max_iterations: int = 100,
-        connectivity_rule: str = "global",
-        bio_budget: int = 10_000_000,
-        x: int | None = None,
+        scheme: str = SchemeConfig.scheme,
+        metric: str = SchemeConfig.metric,
+        seed: int = SchemeConfig.seed,
+        max_iterations: int = SchemeConfig.max_iterations,
+        connectivity_rule: str = SchemeConfig.connectivity_rule,
+        bio_budget: int = SchemeConfig.bio_budget,
+        x: int | None = SchemeConfig.x,
     ):
         self.scheme = scheme
         self.metric = metric

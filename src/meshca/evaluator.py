@@ -14,15 +14,13 @@ from dataclasses import dataclass
 from numbers import Real
 
 from .errors import NonGridTopologyError, ValidationError
+from .metrics import LinkState
 from .topology import (
     ChannelAssignment,
     RealizedLink,
     Topology,
-    check_assignment,
     compile_topology,
     conflict_degrees,
-    node_histograms,
-    pair_links,
 )
 
 #: 5 MB datafile, binary megabytes (5 MB at 54 Mbps ~= 0.777 s)
@@ -139,12 +137,11 @@ def estimate_performance(
     phy_rate check_phy_rate rejects.
     """
     check_phy_rate(phy_rate)
-    check_assignment(topo, ca)
+    state = LinkState(topo, ca)
     for flow in flows:
         if len(flow.path) < 2:
             raise ValidationError(f"flow path {flow.path!r} has no hop; it needs >= 2 nodes")
-    inst = compile_topology(topo)
-    links, k = pair_links(inst, node_histograms(inst, ca))
+    inst, links, k = state.inst, state.links, state.k
     degrees = conflict_degrees(inst, links)
     # every link of one pair on one channel has the same degree, so a hop
     # picks a (pair, channel); its link is the first such radio pair

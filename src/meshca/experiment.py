@@ -57,10 +57,10 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = METRICS
     phy_rates: tuple[float, ...] = DEFAULT_RATES
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    x: int | None = None
-    max_iterations: int = 100
-    connectivity_rule: str = "global"
-    bio_budget: int = 10_000_000
+    x: int | None = SchemeConfig.x
+    max_iterations: int = SchemeConfig.max_iterations
+    connectivity_rule: str = SchemeConfig.connectivity_rule
+    bio_budget: int = SchemeConfig.bio_budget
 
     def __post_init__(self):
         check_topology(self.topology)

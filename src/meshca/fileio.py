@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 from .errors import ValidationError
@@ -20,11 +21,15 @@ def dump_json(obj, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def load_json(path: str | Path):
+def load_json(path: str | Path) -> dict:
+    """The JSON object in a file; other JSON, or no JSON, is a ValidationError."""
     try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON or UTF-8, or an int too long to convert
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _integer(value, what: str) -> int:
@@ -32,6 +37,16 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} {value!r} is not an integer")
     return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number (int or float) as a float; bools, strings and others are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} {value!r} is not a finite number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +68,11 @@ def topology_from_dict(data: dict) -> Topology:
         nodes = tuple(
             sorted(
                 (
-                    Node(_integer(n["id"], "node id"), float(n["x"]), float(n["y"]))
+                    Node(
+                        _integer(n["id"], "node id"),
+                        _number(n["x"], "node x"),
+                        _number(n["y"], "node y"),
+                    )
                     for n in data["nodes"]
                 ),
                 key=lambda n: n.id,
@@ -62,7 +81,7 @@ def topology_from_dict(data: dict) -> Topology:
         topo = Topology(
             nodes=nodes,
             radios_per_node=_integer(data["radios_per_node"], "radios_per_node"),
-            tx_range=float(data["tx_range"]),
+            tx_range=_number(data["tx_range"], "tx_range"),
             interference_x=_integer(data["interference_x"], "interference_x"),
             channel_count=_integer(data["channel_count"], "channel_count"),
         )
@@ -88,14 +107,17 @@ def assignment_to_dict(ca: ChannelAssignment) -> dict:
     return {f"{node}:{radio}": ch for (node, radio), ch in ca.items()}
 
 
+_RADIO_KEY = re.compile(r"(-?[0-9]+):([0-9]+)")
+
+
 def assignment_from_dict(data: dict) -> ChannelAssignment:
     ca: ChannelAssignment = {}
     for key, ch in data.items():
         _integer(ch, f"malformed assignment entry {key!r}: channel")
+        match = _RADIO_KEY.fullmatch(key)
         try:
-            node_s, radio_s = key.split(":")
-            ca[(int(node_s), int(radio_s))] = ch
-        except (ValueError, AttributeError) as exc:
+            ca[(int(match[1]), int(match[2]))] = ch
+        except (TypeError, ValueError) as exc:  # no match, or too many digits for int()
             raise ValidationError(
                 f"malformed assignment entry {key!r}: {ch!r}"
             ) from exc

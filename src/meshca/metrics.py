@@ -24,10 +24,10 @@ paths that touch the radio's node.
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
+from operator import mul
 
 from .errors import ValidationError
 from .topology import (
@@ -86,7 +86,7 @@ def channel_loads(topo: Topology, ca: ChannelAssignment) -> list[float]:
     among parallel links. Sum of loads equals the number of linked pairs.
     """
     state = LinkState(topo, ca)
-    return _channel_loads(state.links, state.k)
+    return [n / state.unit for n in state.load_numerators()]
 
 
 def cdal_cost(topo: Topology, ca: ChannelAssignment) -> IemScore:
@@ -184,35 +184,31 @@ def xls_paths(
     return hops, tuple(tuple(t) for t in through)
 
 
-def _channel_loads(links: list[list[int]], k: list[int]) -> list[float]:
-    # shares are added one link at a time in pair order, not multiplied, so
-    # each load is the same float sum as adding up the realized links
-    shares = [1.0 / n if n else 0.0 for n in k]
-    loads = []
-    for per_channel in links:
-        load = 0.0
-        for share, n in zip(shares, per_channel):
-            for _ in range(n):
-                load += share
-        loads.append(load)
-    return loads
+def _sqrt_ratio(n: int, d: int) -> float:
+    """sqrt(n / d) correctly rounded: a root of >= 54 bits rounded to odd, then to float."""
+    q = (n.bit_length() - d.bit_length() - 109) // 2
+    n, d = (n, d << 2 * q) if q >= 0 else (n << -2 * q, d)
+    root = math.isqrt(n // d)
+    root |= root * root * d != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
-def path_weight(links: list[list[int]], k: list[int], hops: tuple[int, ...]) -> float:
-    """The x-hop link-set weight of one path (hops: its adjacent-pair indices).
+def path_weight(links: list[list[int]], k: list[int], hops: tuple[int, ...], scale: int) -> int:
+    """The x-hop link-set weight of one path times scale (hops: its adjacent-pair indices).
 
     The weight is the mean number of uniquely-channeled hops over all
     prod(k) per-hop link choices; a hop with no realized link makes it 0,
     and it lies in [0, x]. Hop i is on channel ch in L_i,ch of the choices
     and each other hop j avoids ch in k_j - L_j,ch, so the uniquely-channeled
     hops total sum_i sum_ch L_i,ch * prod_{j!=i}(k_j - L_j,ch). That integer
-    over prod(k) is the enumeration's own total / count.
+    over prod(k) is the enumeration's own total / count; scale must be a
+    multiple of prod(k), such as unit ** x, so the result is exact.
     """
     count = 1
     for p in hops:
         count *= k[p]
     if not count:
-        return 0.0
+        return 0
     total = 0
     for per_channel in links:
         on = [per_channel[p] for p in hops]
@@ -223,7 +219,7 @@ def path_weight(links: list[list[int]], k: list[int], hops: tuple[int, ...]) -> 
                     if j != i:
                         term *= k[p] - on[j]
                 total += term
-    return total / count
+    return total * (scale // count)
 
 
 class LinkState:
@@ -233,11 +229,13 @@ class LinkState:
     node_histograms), the realized-link counts derived from it (links[ch][p]
     and k[p], see pair_links) and the value of one metric (none when metric
     is None). The constructor validates the assignment and scores it in
-    full, tid as the sum of L * D over conflict_degrees. retune() moves one
-    radio and touches only the pairs incident to its node: tid changes by
-    an exact integer delta, the cxls weights of the paths through the node
-    are recomputed (and summed in path order when scored), and cdal is
-    recomputed from the link counts when scored. Every value is
+    full, tid as the sum of L * D over conflict_degrees. cdal and cxls are
+    exact integers over a power of unit = lcm(1..m^2), which every k[p]
+    divides, and each score rounds once. retune() moves one radio and
+    touches only the pairs incident to its node: tid changes by an exact
+    integer delta, the cxls weights of the paths through the node are
+    recomputed when scored and move their total by the difference, and cdal
+    is recomputed from the link counts when scored. Every value is
     bit-identical to a full recompute. Connectivity is rechecked
     only after an incident pair lost its last link or gained its first.
     """
@@ -257,6 +255,7 @@ class LinkState:
         self.links, self.k = pair_links(inst, self.h)
         self._unlinked = self.k.count(0)
         self._connected: bool | None = None
+        self.unit = math.lcm(*range(1, topo.radios_per_node**2 + 1))
         if self.metric == "tid":
             self._tid = sum(
                 n * d
@@ -264,10 +263,11 @@ class LinkState:
                 for n, d in zip(ns, ds)
             )
         elif self.metric == "cxls":
-            self._hops, self._through = xls_paths(
-                topo, topo.interference_x if x is None else x
-            )
-            self._weights = [path_weight(self.links, self.k, hops) for hops in self._hops]
+            x = topo.interference_x if x is None else x
+            self._hops, self._through = xls_paths(topo, x)
+            self._scale = self.unit**x
+            self._weights = [path_weight(self.links, self.k, p, self._scale) for p in self._hops]
+            self._total = sum(self._weights)
             self._dirty: set[int] = set()
 
     def retune(self, radio: RadioId, ch: int) -> None:
@@ -332,19 +332,26 @@ class LinkState:
         """The per-pair rule: every adjacent pair keeps a realized link."""
         return not self._unlinked
 
+    def load_numerators(self) -> list[int]:
+        """Each channel's load times unit: pair p adds unit // k[p] per link."""
+        shares = [self.unit // n if n else 0 for n in self.k]
+        return [sum(map(mul, per_channel, shares)) for per_channel in self.links]
+
     def score(self) -> IemScore:
         """The tracked metric's score of the current assignment."""
         if self.metric == "tid":
             value = float(self._tid)
         elif self.metric == "cdal":
-            # sorting stabilizes float summation so channel relabelings are bit-exact
-            value = statistics.pstdev(sorted(_channel_loads(self.links, self.k)))
+            loads = self.load_numerators()
+            c, total = len(loads), sum(loads)
+            value = _sqrt_ratio(c * sum(n * n for n in loads) - total**2, (c * self.unit) ** 2)
         else:
             if self._dirty:
                 stale = set().union(*(self._through[v] for v in self._dirty))
                 for i in stale:
-                    self._weights[i] = path_weight(self.links, self.k, self._hops[i])
+                    w = path_weight(self.links, self.k, self._hops[i], self._scale)
+                    self._total += w - self._weights[i]
+                    self._weights[i] = w
                 self._dirty.clear()
-            # added in path order, as a full recompute does
-            value = reduce(add, self._weights, 0.0)
+            value = self._total / self._scale
         return IemScore(self.metric, value, _DIRECTIONS[self.metric])

@@ -35,9 +35,7 @@ from .topology import (
     ChannelAssignment,
     Topology,
     check_topology,
-    compile_topology,
     conflict_degrees,
-    node_histograms,
     potential_neighbors,
     radios,
 )
@@ -278,8 +276,7 @@ def eiz_detect(state: LinkState) -> list[int]:
 
 def count_colocated_pairs(topo: Topology, ca: ChannelAssignment) -> int:
     """Same-node radio pairs sharing one channel (the co-location interference unit)."""
-    hist = node_histograms(compile_topology(topo), ca)
-    return sum(n * (n - 1) // 2 for h in hist for n in h)
+    return sum(n * (n - 1) // 2 for h in LinkState(topo, ca).h for n in h)
 
 
 def rci_mitigate(state: LinkState, connectivity_rule: str = "global") -> int:

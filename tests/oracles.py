@@ -9,6 +9,8 @@ package's result types are imported.
 
 import itertools
 import math
+import statistics
+from fractions import Fraction
 
 from meshca.evaluator import FlowPerf, PerfReport
 from meshca.topology import RealizedLink
@@ -86,15 +88,15 @@ def tid_value(topo, ca):
 
 
 def cdal_value(topo, ca):
-    loads = [0.0] * topo.channel_count
+    """pstdev of the exact channel loads (correctly rounded on Python 3.11+)."""
+    loads = [Fraction(0)] * topo.channel_count
     per_pair = {}
     for u, ru, v, rv, ch in links(topo, ca):
         per_pair.setdefault((u, v), []).append(ch)
     for chans in per_pair.values():
         for ch in chans:
-            loads[ch] += 1.0 / len(chans)
-    mean = sum(loads) / len(loads)
-    return math.sqrt(sum((x - mean) ** 2 for x in loads) / len(loads))
+            loads[ch] += Fraction(1, len(chans))
+    return statistics.pstdev(loads)
 
 
 def paths(topo, x):
@@ -115,6 +117,7 @@ def paths(topo, x):
 
 
 def xls_weight_value(topo, ca, path):
+    """The exact mean unique-channel hop count over all link choices (a Fraction)."""
     options = []
     for a, b in zip(path, path[1:]):
         u, v = min(a, b), max(a, b)
@@ -125,15 +128,16 @@ def xls_weight_value(topo, ca, path):
             if ca[(u, ru)] == ca[(v, rv)]
         ]
         if not chans:
-            return 0.0
+            return Fraction(0)
         options.append(chans)
     weights = []
     for combo in itertools.product(*options):
         weights.append(sum(1 for ch in combo if combo.count(ch) == 1))
-    return sum(weights) / len(weights)
+    return Fraction(sum(weights), len(weights))
 
 
 def cxls_value(topo, ca, x):
+    """The exact sum of the path weights, rounded once."""
     return float(sum(xls_weight_value(topo, ca, p) for p in paths(topo, x)))
 
 

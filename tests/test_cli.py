@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from conftest import line_with_stray_node
-from meshca.cli import main
+from meshca import ChannelAssigner, ExperimentConfig, SchemeConfig, gen_grid
+from meshca.cli import build_parser, main
 from meshca.fileio import save_topology
 
 
@@ -23,6 +25,18 @@ def line3_m2_files(tmp_path, capsys):
     )
     assert code == 0
     return topo
+
+
+def test_scheme_defaults_match_scheme_config():
+    defaults = dataclasses.asdict(SchemeConfig())
+    parser = build_parser()
+    assign = vars(parser.parse_args(["assign", "-t", "topo.json"]))
+    assert {name: assign[name] for name in defaults} == defaults
+    experiment = vars(parser.parse_args(["experiment"]))
+    exp_config = dataclasses.asdict(ExperimentConfig(gen_grid(1, 2, 100, 100, 2, 1, 2)))
+    for name in ("max_iterations", "connectivity_rule", "bio_budget", "x"):
+        assert experiment[name] == exp_config[name] == defaults[name]
+    assert ChannelAssigner().get_params() == defaults
 
 
 class TestGen:
@@ -183,6 +197,19 @@ class TestScore:
             capsys, "score", "-t", str(line3_m2_files), "-a", str(ca_path))
         assert code == 1
         assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    @pytest.mark.parametrize("text", ["[]", '"abc"'])
+    def test_non_object_assignment_exit_one(self, line3_m2_files, tmp_path, capsys,
+                                            command, text):
+        ca_path = tmp_path / "ca.json"
+        ca_path.write_text(text)
+        code, out, err = run_cli(
+            capsys, command, "-t", str(line3_m2_files), "-a", str(ca_path))
+        assert code == 1
+        assert out == ""
+        assert f"meshca: error: {ca_path}: expected a JSON object" in err
+        assert "Traceback" not in err
 
     def test_missing_radio_named(self, line3_m2_files, tmp_path, capsys):
         ca_path = tmp_path / "ca.json"
@@ -377,6 +404,20 @@ class TestExperiment:
         assert code == 1
         assert out == ""
         assert f"meshca: error: {message}" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("text", ["[]", '"abc"'])
+    def test_config_file_non_object_exit_one(self, tmp_path, capsys, text):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        outdir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "experiment", "--config", str(config), "--out", str(outdir),
+            "--rows", "1", "--cols", "2", "--radios", "1", "--channels", "2")
+        assert code == 1
+        assert out == ""
+        assert f"meshca: error: {config}: expected a JSON object" in err
         assert "Traceback" not in err
         assert not outdir.exists()
 

@@ -83,6 +83,20 @@ class TestTopologyRoundTrip:
         with pytest.raises(ValidationError):
             load_topology(path)
 
+    @pytest.mark.parametrize("text", ["[]", '"abc"', "3", "null"])
+    def test_non_object_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for load in (load_topology, load_assignment):
+            with pytest.raises(ValidationError, match="bad.json: expected a JSON object"):
+                load(path)
+
+    def test_overlong_integer_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"radios_per_node": ' + "9" * 5000 + "}")
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            load_topology(path)
+
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -107,6 +121,28 @@ class TestTopologyRoundTrip:
         data = grid_dict()
         data["nodes"][1]["y"] = value
         with pytest.raises(ValidationError, match="node 1 has a non-finite position"):
+            topology_from_dict(data)
+
+    @pytest.mark.parametrize("value", ["0", "1e3", True, None, [1.0]])
+    @pytest.mark.parametrize("field", ["x", "y", "tx_range"])
+    def test_non_number_rejected(self, field, value):
+        data = grid_dict()
+        if field == "tx_range":
+            data["tx_range"] = value
+        else:
+            data["nodes"][1][field] = value
+        with pytest.raises(ValidationError, match=f"{field} .* is not a number"):
+            topology_from_dict(data)
+
+    def test_integer_coordinates_accepted(self):
+        data = grid_dict(tx_range=100)
+        data["nodes"][1]["x"] = 100
+        assert topology_from_dict(data) == gen_grid(1, 3, 100, 100, 2, 2, 2)
+
+    def test_oversized_integer_coordinate_rejected(self):
+        data = grid_dict()
+        data["nodes"][1]["x"] = 10**400
+        with pytest.raises(ValidationError, match="node x .* is not a finite number"):
             topology_from_dict(data)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -139,6 +175,16 @@ class TestAssignmentRoundTrip:
         path = tmp_path / "ca.json"
         path.write_text('{"zero": 1}')
         with pytest.raises(ValidationError):
+            load_assignment(path)
+
+    @pytest.mark.parametrize("key", [
+        "3_0:1", " 1:0", "1:0 ", "+1:0", "1:+0", "1:-0", "1:", ":0", "1:0:0",
+        "\u0661:0", "1" * 5000 + ":0",
+    ])
+    def test_non_canonical_key_rejected(self, tmp_path, key):
+        path = tmp_path / "ca.json"
+        path.write_text(json.dumps({key: 1}))
+        with pytest.raises(ValidationError, match="malformed assignment entry"):
             load_assignment(path)
 
     @given(st.dictionaries(st.tuples(st.integers(-1000, 1000), st.integers(0, 8)),

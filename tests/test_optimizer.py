@@ -7,6 +7,7 @@ import oracles
 from conftest import make_random_assignment, make_random_topology
 from meshca import (
     BudgetExceededError,
+    IncompleteAssignmentError,
     SchemeConfig,
     ValidationError,
     better,
@@ -203,6 +204,12 @@ class TestRciMitigate:
                 for r2 in range(r1 + 1, m)
             )
             assert count_colocated_pairs(topo, ca) == expected
+
+    def test_colocated_count_names_missing_radio(self, line3_m2):
+        ca = uniform_assignment(line3_m2)
+        del ca[(1, 0)]
+        with pytest.raises(IncompleteAssignmentError, match="missing radio 1:0"):
+            count_colocated_pairs(line3_m2, ca)
 
     def test_no_duplicates_identity(self, line3_m1):
         ca = uniform_assignment(line3_m1)
