@@ -39,7 +39,6 @@ from .metrics import (
     all_scores,
     better,
     cdal_cost,
-    channel_loads,
     cxls_wt,
     enumerate_xls,
     score,
@@ -51,7 +50,6 @@ from .optimizer import (
     SchemeConfig,
     TraceRecord,
     bio_assign,
-    count_colocated_pairs,
     eiz_detect,
     improve_sweep,
     initial_assignment,

@@ -259,8 +259,24 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+#: the keys of an experiment --config file whose values are JSON lists
+_CONFIG_LISTS = ("schemes", "metrics", "phy_rates", "seeds", "formats")
+
+
+def _read_config(path: str) -> dict:
+    """An experiment --config file: its list keys must hold JSON lists and its
+    output_dir a string, or it is a ValidationError naming the key."""
+    data = load_json(path)
+    for key in _CONFIG_LISTS:
+        if key in data and not isinstance(data[key], list):
+            raise ValidationError(f"{path}: {key} must be a JSON list, got {data[key]!r}")
+    if "output_dir" in data and not isinstance(data["output_dir"], str):
+        raise ValidationError(f"{path}: output_dir must be a string, got {data['output_dir']!r}")
+    return data
+
+
 def _experiment_config(args) -> tuple[ExperimentConfig, Path, list[str]]:
-    file_cfg = load_json(args.config) if args.config else {}
+    file_cfg = _read_config(args.config) if args.config else {}
 
     def pick(flag_value, key, default):
         if flag_value is not None:
@@ -295,11 +311,11 @@ def _experiment_config(args) -> tuple[ExperimentConfig, Path, list[str]]:
     outdir = Path(
         pick(args.out, "output_dir", os.environ.get("MESHCA_OUTPUT_DIR", "meshca-out"))
     )
-    formats = [f.lower() for f in pick(args.formats, "formats", ["csv", "json"])]
+    formats = pick(args.formats, "formats", ["csv", "json"])
     for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise MeshCAError(f"unknown output format {fmt!r}; expected csv or json")
-    return cfg, outdir, formats
+        if not isinstance(fmt, str) or fmt.lower() not in ("csv", "json"):
+            raise ValidationError(f"unknown output format {fmt!r}; expected csv or json")
+    return cfg, outdir, [fmt.lower() for fmt in formats]
 
 
 def cmd_experiment(args) -> int:

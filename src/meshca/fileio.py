@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ValidationError
@@ -143,10 +144,7 @@ def trace_to_dict(trace: OptimizationTrace, **context) -> dict:
         "initial_score": trace.initial_score,
         "final_score": trace.final_score,
         "feasible": trace.feasible,
-        "records": [
-            {"iteration": r.iteration, "score": r.score, "moves": r.moves}
-            for r in trace.records
-        ],
+        "records": [asdict(r) for r in trace.records],
     }
     data.update(context)
     return data
@@ -205,15 +203,7 @@ def perf_report_to_dict(report: PerfReport) -> dict:
                 "payload_bytes": fp.flow.payload_bytes,
                 "throughput_mbps": fp.throughput_mbps,
                 "transfer_time_s": fp.transfer_time_s,
-                "bottleneck": None
-                if fp.bottleneck is None
-                else {
-                    "node_a": fp.bottleneck.node_a,
-                    "radio_a": fp.bottleneck.radio_a,
-                    "node_b": fp.bottleneck.node_b,
-                    "radio_b": fp.bottleneck.radio_b,
-                    "channel": fp.bottleneck.channel,
-                },
+                "bottleneck": None if fp.bottleneck is None else asdict(fp.bottleneck),
                 "contention": fp.contention,
             }
             for fp in report.flows

@@ -78,17 +78,6 @@ def tid(topo: Topology, ca: ChannelAssignment) -> IemScore:
     return LinkState(topo, ca, "tid").score()
 
 
-def channel_loads(topo: Topology, ca: ChannelAssignment) -> list[float]:
-    """Fractional link count per channel.
-
-    Each adjacent node pair with k >= 1 realized links spreads one unit of
-    load over its links (1/k each), modelling equal-probability selection
-    among parallel links. Sum of loads equals the number of linked pairs.
-    """
-    state = LinkState(topo, ca)
-    return [n / state.unit for n in state.load_numerators()]
-
-
 def cdal_cost(topo: Topology, ca: ChannelAssignment) -> IemScore:
     """Population standard deviation of the channel loads (zero-load channels count)."""
     return LinkState(topo, ca, "cdal").score()

@@ -274,20 +274,17 @@ def eiz_detect(state: LinkState) -> list[int]:
     return sorted(hot, key=lambda n: (-values[n], n))
 
 
-def count_colocated_pairs(topo: Topology, ca: ChannelAssignment) -> int:
-    """Same-node radio pairs sharing one channel (the co-location interference unit)."""
-    return sum(n * (n - 1) // 2 for h in LinkState(topo, ca).h for n in h)
-
-
 def rci_mitigate(state: LinkState, connectivity_rule: str = "global") -> int:
     """Break up same-channel radios co-located on one node, in place.
 
-    Per node (ascending id), the higher-indexed radio of each duplicate pair
-    is retuned to the best-scoring channel unused at that node, considering
+    One pass per node (ascending id) over its radios in index order: a
+    radio on the same channel as a lower-indexed radio of its node is
+    retuned to the best-scoring channel the node does not use, considering
     only retunes that keep the rule satisfied and do not worsen the state's
-    metric. Duplicates with no acceptable alternative stay put. Never
-    increases the co-located duplicate count and never worsens the score.
-    Returns the number of radios moved.
+    metric, and stays put when none is acceptable. A move only puts a radio
+    on a channel new to its node, so the radios before it never change and
+    one pass settles the node. Never increases the co-located duplicate
+    count and never worsens the score. Returns the number of radios moved.
     """
     topo = state.inst.topo
     m = topo.radios_per_node
@@ -295,23 +292,13 @@ def rci_mitigate(state: LinkState, connectivity_rule: str = "global") -> int:
     cur_score = state.score()
     moves = 0
     for n in sorted(nd.id for nd in topo.nodes):
-        stuck: set[int] = set()
-        while True:
-            node_chans = [state.ca[(n, r)] for r in range(m)]
-            dup = None
-            seen: set[int] = set()
-            for r in range(m):
-                if node_chans[r] in seen and r not in stuck:
-                    dup = r
-                    break
-                seen.add(node_chans[r])
-            if dup is None:
-                break
-            unused = [ch for ch in range(c) if ch not in node_chans]
-            new_score = _best_retune(state, (n, dup), unused, connectivity_rule, cur_score, False)
-            if new_score is None:
-                stuck.add(dup)
-            else:
+        for r in range(1, m):
+            chans = [state.ca[(n, q)] for q in range(m)]
+            if chans[r] not in chans[:r]:
+                continue
+            unused = [ch for ch in range(c) if ch not in chans]
+            new_score = _best_retune(state, (n, r), unused, connectivity_rule, cur_score, False)
+            if new_score is not None:
                 cur_score = new_score
                 moves += 1
     return moves

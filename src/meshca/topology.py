@@ -343,7 +343,7 @@ def check_assignment(topo: Topology, ca: ChannelAssignment) -> None:
 
     Raises IncompleteAssignmentError naming the first inconsistency, checked
     in canonical radio order: a missing radio, then an unknown radio, then a
-    channel that is not an int in [0, channel_count).
+    channel that is not an int in [0, channel_count); a bool is not a channel.
     """
     rlist = radios(topo)
     for node, radio in rlist:
@@ -355,7 +355,7 @@ def check_assignment(topo: Topology, ca: ChannelAssignment) -> None:
         raise IncompleteAssignmentError(f"assignment references unknown radio {node}:{radio}")
     for node, radio in rlist:
         ch = ca[(node, radio)]
-        if not isinstance(ch, int) or not (0 <= ch < topo.channel_count):
+        if isinstance(ch, bool) or not isinstance(ch, int) or not (0 <= ch < topo.channel_count):
             raise IncompleteAssignmentError(
                 f"channel {ch} out of range for radio {node}:{radio} "
                 f"(channel_count {topo.channel_count})"
@@ -439,14 +439,6 @@ def is_ca_connected(topo: Topology, ca: ChannelAssignment) -> bool:
     inst = compile_topology(topo)
     _, k = pair_links(inst, node_histograms(inst, ca))
     return links_connected(inst, k)
-
-
-def preserves_all_pairs(topo: Topology, ca: ChannelAssignment) -> bool:
-    """True iff every adjacent node pair keeps at least one realized link."""
-    check_assignment(topo, ca)
-    inst = compile_topology(topo)
-    _, k = pair_links(inst, node_histograms(inst, ca))
-    return 0 not in k
 
 
 def uniform_assignment(topo: Topology, channel: int = 0) -> ChannelAssignment:

@@ -1,0 +1,112 @@
+"""Source patches the test suite must catch, and a script that checks it.
+
+Each entry of MUTANTS is (file, old text, new text, test ids): the old text
+must occur exactly once in the file, and with the new text in its place
+every named test must fail. pytest does not collect this file. Run it from
+anywhere:
+
+    python tests/mutants.py
+
+Each patch is applied to its own temporary copy of the repository, and the
+named tests run there, first unpatched (they must pass) and then patched
+(they must all fail). Exits 0 when every mutant is caught, 1 otherwise.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    (
+        # the pass must re-read the node's channels before each retune: a
+        # radio moved earlier in the pass has taken one of the unused ones
+        "src/meshca/optimizer.py",
+        """    for n in sorted(nd.id for nd in topo.nodes):
+        for r in range(1, m):
+            chans = [state.ca[(n, q)] for q in range(m)]
+            if chans[r] not in chans[:r]:
+                continue
+            unused = [ch for ch in range(c) if ch not in chans]
+""",
+        """    for n in sorted(nd.id for nd in topo.nodes):
+        start = [state.ca[(n, q)] for q in range(m)]
+        unused = [ch for ch in range(c) if ch not in start]
+        for r in range(1, m):
+            chans = [state.ca[(n, q)] for q in range(m)]
+            if chans[r] not in chans[:r]:
+                continue
+""",
+        [
+            "tests/test_reference_sweep.py::test_rci_mitigate_matches_full_rescoring[3-global]",
+            "tests/test_reference_sweep.py::test_rci_mitigate_matches_full_rescoring[3-per-pair]",
+            "tests/test_reference_sweep.py::test_rci_mitigate_matches_full_rescoring[4-global]",
+            "tests/test_reference_sweep.py::test_rci_mitigate_matches_full_rescoring[4-per-pair]",
+        ],
+    ),
+    (
+        "src/meshca/topology.py",
+        "if isinstance(ch, bool) or not isinstance(ch, int) or",
+        "if not isinstance(ch, int) or",
+        [
+            "tests/test_fileio.py::TestConsistency::test_bool_channel_rejected[True]",
+            "tests/test_fileio.py::TestConsistency::test_bool_channel_rejected[False]",
+        ],
+    ),
+    (
+        "src/meshca/cli.py",
+        "if key in data and not isinstance(data[key], list):",
+        'if key in data and not isinstance(data[key], (list, str) if key == "schemes" else list):',
+        ["tests/test_cli.py::TestExperiment::test_config_file_wrong_type_exit_one[schemes]"],
+    ),
+]
+
+
+def _failed(tree: Path, ids: list[str]) -> set[str]:
+    """The ids among ids that fail when run in tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *ids],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode not in (0, 1):  # 1: some tests failed; others: they did not run
+        raise SystemExit(f"named tests did not run:\n{proc.stdout}{proc.stderr}")
+    return {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")}
+
+
+def check(path: str, old: str, new: str, ids: list[str]) -> list[str]:
+    """Problems with one mutant: a patch that does not apply, or a named
+    test that fails unpatched or passes patched."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out"))
+        target = tree / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return [f"{path}: the old text occurs {text.count(old)} times, not once"]
+        problems = [f"fails unpatched: {i}" for i in sorted(_failed(tree, ids))]
+        target.write_text(text.replace(old, new))
+        failed = _failed(tree, ids)
+        return problems + [f"survives the patch: {i}" for i in ids if i not in failed]
+
+
+def main() -> int:
+    caught = 0
+    for path, old, new, ids in MUTANTS:
+        problems = check(path, old, new, ids)
+        changed = next(line for line in new.splitlines() if line not in old.splitlines())
+        print(f"{'caught' if not problems else 'MISSED'}: {path}: {changed.strip()}")
+        for problem in problems:
+            print(f"  {problem}")
+        caught += not problems
+    print(f"{caught} of {len(MUTANTS)} mutants caught")
+    return 0 if caught == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,6 @@
-"""Independent brute-force reference implementations for the three metrics
-and the flow estimator.
+"""Independent brute-force reference implementations for the three metrics,
+the channel loads, the per-pair rule, the co-located radio count and the
+flow estimator.
 
 Everything here recomputes from first principles with plain nested loops --
 no reuse of the package's derivation helpers -- so the optimized
@@ -9,7 +10,6 @@ package's result types are imported.
 
 import itertools
 import math
-import statistics
 from fractions import Fraction
 
 from meshca.evaluator import FlowPerf, PerfReport
@@ -87,16 +87,64 @@ def tid_value(topo, ca):
     return float(sum(degs))
 
 
-def cdal_value(topo, ca):
-    """pstdev of the exact channel loads (correctly rounded on Python 3.11+)."""
-    loads = [Fraction(0)] * topo.channel_count
+def all_pairs_linked(topo, ca):
+    """The per-pair rule: every adjacency pair has at least one link."""
+    linked = {(u, v) for u, _, v, _, _ in links(topo, ca)}
+    return all(pair in linked for pair in adjacency(topo))
+
+
+def colocated_pairs(topo, ca):
+    """Same-node radio pairs on one channel."""
+    m = topo.radios_per_node
+    return sum(
+        ca[(n.id, r1)] == ca[(n.id, r2)]
+        for n in topo.nodes
+        for r1 in range(m)
+        for r2 in range(r1 + 1, m)
+    )
+
+
+def channel_loads(topo, ca):
+    """The exact load of each channel: a pair with k links adds 1/k per link."""
     per_pair = {}
-    for u, ru, v, rv, ch in links(topo, ca):
+    for u, _, v, _, ch in links(topo, ca):
         per_pair.setdefault((u, v), []).append(ch)
+    loads = [Fraction(0)] * topo.channel_count
     for chans in per_pair.values():
         for ch in chans:
             loads[ch] += Fraction(1, len(chans))
-    return statistics.pstdev(loads)
+    return loads
+
+
+def _odd(v):
+    """Whether the float v >= 0 has an odd last significand bit."""
+    return v / math.ulp(v) % 2 == 1
+
+
+def sqrt_rounded(q):
+    """sqrt of a Fraction q >= 0, correctly rounded to a float (ties to even).
+
+    From math.sqrt(float(q)), step to a neighbouring float until the
+    midpoints between v and its two neighbours bracket sqrt(q), checked by
+    squaring them exactly.
+    """
+    v = math.sqrt(float(q))
+    while True:
+        down, up = math.nextafter(v, -math.inf), math.nextafter(v, math.inf)
+        lo, hi = (Fraction(v) + Fraction(down)) / 2, (Fraction(v) + Fraction(up)) / 2
+        if hi * hi < q or (hi * hi == q and _odd(v)):
+            v = up
+        elif v > 0 and (lo * lo > q or (lo * lo == q and _odd(v))):
+            v = down
+        else:
+            return v
+
+
+def cdal_value(topo, ca):
+    """The population standard deviation of the exact channel loads, rounded once."""
+    loads = channel_loads(topo, ca)
+    mean = sum(loads) / len(loads)
+    return sqrt_rounded(sum((load - mean) ** 2 for load in loads) / len(loads))
 
 
 def paths(topo, x):

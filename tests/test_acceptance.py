@@ -19,7 +19,6 @@ from meshca import (
     better,
     bio_assign,
     cdal_cost,
-    count_colocated_pairs,
     cxls_wt,
     gen_grid,
     is_ca_connected,
@@ -214,12 +213,12 @@ def test_criterion_7_rci_postcondition():
     rng = random.Random(7)
     checked = 0
     for ca in _sample_feasible(topo, rng, 100):
-        before_pairs = count_colocated_pairs(topo, ca)
+        before_pairs = oracles.colocated_pairs(topo, ca)
         for metric in ("tid", "cdal", "cxls"):
             state = LinkState(topo, ca, metric)
             rci_mitigate(state)
             out = state.ca
-            assert count_colocated_pairs(topo, out) <= before_pairs
+            assert oracles.colocated_pairs(topo, out) <= before_pairs
             assert not better(score(metric, topo, ca), score(metric, topo, out))
             checked += 1
     print(f"\nPASS criterion 7: RCI postconditions hold on {checked} (CA, metric) cases")

@@ -457,6 +457,34 @@ class TestExperiment:
         assert f"meshca: error: {message}" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("schemes", "pio", "schemes must be a JSON list, got 'pio'"),
+        ("metrics", "tid", "metrics must be a JSON list, got 'tid'"),
+        ("phy_rates", 9, "phy_rates must be a JSON list, got 9"),
+        ("seeds", 5, "seeds must be a JSON list, got 5"),
+        ("seeds", None, "seeds must be a JSON list, got None"),
+        ("formats", 5, "formats must be a JSON list, got 5"),
+        ("formats", [5], "unknown output format 5; expected csv or json"),
+        ("output_dir", 5, "output_dir must be a string, got 5"),
+    ], ids=["schemes", "metrics", "phy_rates", "seeds", "seeds-null", "formats", "formats-item",
+            "output_dir"])
+    def test_config_file_wrong_type_exit_one(self, tmp_path, capsys, monkeypatch, key, value,
+                                             message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MESHCA_OUTPUT_DIR", raising=False)
+        settings = {"schemes": ["pio"], "metrics": ["tid"], "phy_rates": [9], "seeds": [1]}
+        settings[key] = value
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(settings))
+        code, out, err = run_cli(
+            capsys, "experiment", "--config", str(config),
+            "--rows", "1", "--cols", "2", "--radios", "1", "--channels", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("meshca: error: ") and message in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MESHCA_OUTPUT_DIR", str(tmp_path / "env-out"))
         code, _, _ = run_cli(

@@ -214,6 +214,14 @@ class TestConsistency:
         with pytest.raises(IncompleteAssignmentError, match="channel 5 out of range"):
             check_assignment(line3_m2, ca)
 
+    @pytest.mark.parametrize("channel", [True, False])
+    def test_bool_channel_rejected(self, line3_m2, channel):
+        # a bool is an int in Python, but never a channel
+        ca = uniform_assignment(line3_m2)
+        ca[(0, 1)] = channel
+        with pytest.raises(IncompleteAssignmentError, match=f"channel {channel} out of range"):
+            check_assignment(line3_m2, ca)
+
 
 class TestTraceFile:
     def test_structure(self, tmp_path, line3_m1):

@@ -8,9 +8,9 @@ the public full computation with ==, not within a tolerance.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from meshca import Node, Topology, gen_grid, is_ca_connected, radios, score
 from meshca.metrics import LinkState
-from meshca.topology import preserves_all_pairs
 
 
 @st.composite
@@ -62,7 +62,7 @@ def test_incremental_state_matches_full_recompute(instance):
             assert state.ca == deferred.ca
             assert state.score() == score(state.metric, topo, state.ca, x)
             assert state.connected() == is_ca_connected(topo, state.ca)
-            assert state.all_pairs_linked() == preserves_all_pairs(topo, state.ca)
+            assert state.all_pairs_linked() == oracles.all_pairs_linked(topo, state.ca)
     assert deferred.score() == score("cxls", topo, deferred.ca, x)
     assert deferred.connected() == is_ca_connected(topo, deferred.ca)
-    assert deferred.all_pairs_linked() == preserves_all_pairs(topo, deferred.ca)
+    assert deferred.all_pairs_linked() == oracles.all_pairs_linked(topo, deferred.ca)

@@ -12,7 +12,6 @@ from meshca import (
     ValidationError,
     better,
     cdal_cost,
-    channel_loads,
     cxls_wt,
     enumerate_xls,
     gen_grid,
@@ -34,6 +33,12 @@ def path_weights(topo, ca, x):
         Fraction(path_weight(state.links, state.k, path_hops, scale), scale)
         for path_hops in hops
     ]
+
+
+def channel_loads(topo, ca):
+    """LinkState's load numerators over unit, as exact Fractions."""
+    state = LinkState(topo, ca)
+    return [Fraction(n, state.unit) for n in state.load_numerators()]
 
 
 class TestHandDerivedValues:
@@ -62,14 +67,15 @@ class TestHandDerivedValues:
         assert tid(line3_m2_c3, ca).value == 0.0
 
     def test_channel_loads(self, line3_m1, line3_m2):
-        assert channel_loads(line3_m1, uniform_assignment(line3_m1)) == [2.0, 0.0]
-        assert channel_loads(line3_m2, E2_CA) == [1.0, 1.0]
+        ca = uniform_assignment(line3_m1)
+        assert channel_loads(line3_m1, ca) == oracles.channel_loads(line3_m1, ca) == [2, 0]
+        assert channel_loads(line3_m2, E2_CA) == oracles.channel_loads(line3_m2, E2_CA) == [1, 1]
 
     def test_nine_parallel_links_exact(self):
         # each of the 9 links carries 1/9: float shares summed to 1.0000000000000002
         topo = gen_grid(1, 2, 100, 100, 2, 3, 2)
         ca = {(n, r): 0 for n in range(2) for r in range(3)}
-        assert channel_loads(topo, ca) == [1.0, 0.0]
+        assert channel_loads(topo, ca) == oracles.channel_loads(topo, ca) == [1, 0]
         assert cdal_cost(topo, ca).value == 0.5
         assert oracles.cdal_value(topo, ca) == 0.5
 
@@ -203,7 +209,7 @@ class TestInvariants:
         for _ in range(40):
             topo = make_random_topology(rng)
             ca = make_random_assignment(rng, topo)
-            loads = channel_loads(topo, ca)
+            loads = oracles.channel_loads(topo, ca)
             zero = cdal_cost(topo, ca).value < 1e-12
             balanced = max(loads) - min(loads) < 1e-12
             assert zero == balanced

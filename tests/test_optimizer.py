@@ -12,7 +12,6 @@ from meshca import (
     ValidationError,
     better,
     bio_assign,
-    count_colocated_pairs,
     eiz_detect,
     gen_grid,
     improve_sweep,
@@ -196,20 +195,15 @@ class TestRciMitigate:
         for _ in range(30):
             topo = make_random_topology(rng, max_radios=4, max_channels=3)
             ca = make_random_assignment(rng, topo)
-            m = topo.radios_per_node
-            expected = sum(
-                ca[(n.id, r1)] == ca[(n.id, r2)]
-                for n in topo.nodes
-                for r1 in range(m)
-                for r2 in range(r1 + 1, m)
-            )
-            assert count_colocated_pairs(topo, ca) == expected
+            h = LinkState(topo, ca).h
+            counted = sum(n * (n - 1) // 2 for row in h for n in row)
+            assert counted == oracles.colocated_pairs(topo, ca)
 
     def test_colocated_count_names_missing_radio(self, line3_m2):
         ca = uniform_assignment(line3_m2)
         del ca[(1, 0)]
         with pytest.raises(IncompleteAssignmentError, match="missing radio 1:0"):
-            count_colocated_pairs(line3_m2, ca)
+            LinkState(line3_m2, ca)
 
     def test_no_duplicates_identity(self, line3_m1):
         ca = uniform_assignment(line3_m1)
@@ -227,11 +221,11 @@ class TestRciMitigate:
     def test_pair_duplicates_cleared(self):
         topo = gen_grid(1, 2, 100, 100, 2, 2, 2)
         ca = uniform_assignment(topo)
-        assert count_colocated_pairs(topo, ca) == 2
+        assert oracles.colocated_pairs(topo, ca) == 2
         state = LinkState(topo, ca, "tid")
         rci_mitigate(state)
         out = state.ca
-        assert count_colocated_pairs(topo, out) == 0
+        assert oracles.colocated_pairs(topo, out) == 0
         assert is_ca_connected(topo, out)
 
     def test_never_increases_duplicates_or_worsens(self):
@@ -244,7 +238,7 @@ class TestRciMitigate:
                 moves = rci_mitigate(state)
                 out = state.ca
                 assert moves == sum(out[r] != ca[r] for r in ca)
-                assert count_colocated_pairs(topo, out) <= count_colocated_pairs(topo, ca)
+                assert oracles.colocated_pairs(topo, out) <= oracles.colocated_pairs(topo, ca)
                 assert not better(score(metric, topo, ca), score(metric, topo, out))
 
 
@@ -309,15 +303,13 @@ class TestRunScheme:
                     assert trace.final_score <= trace.initial_score
 
     def test_per_pair_rule_preserves_every_adjacency(self):
-        from meshca.topology import preserves_all_pairs
-
         topo = gen_grid(2, 3, 100, 100, 2, 2, 3)
         for scheme in ("pio", "ko", "ho"):
             cfg = SchemeConfig(scheme=scheme, metric="tid", seed=2,
                                connectivity_rule="per-pair")
             ca, _, trace = run_scheme(topo, cfg)
             assert trace.feasible
-            assert preserves_all_pairs(topo, ca)
+            assert oracles.all_pairs_linked(topo, ca)
 
     def test_per_pair_at_least_as_strict_as_global(self, line3_m1):
         cfg = SchemeConfig(seed=0, connectivity_rule="per-pair")

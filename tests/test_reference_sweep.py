@@ -2,7 +2,7 @@
 
 The reference schemes below keep the assignment in a plain dict, score every
 candidate retune with the public score() and check it with is_ca_connected /
-preserves_all_pairs, the definitional form of each sweep. ref_run_scheme
+oracles.all_pairs_linked, the definitional form of each sweep. ref_run_scheme
 composes them into pio, ko and ho on its own, counting moves by dict
 difference, and must return the same assignment, score and trace as
 run_scheme, so any drift in candidate order, tie-breaking, feasibility or
@@ -26,15 +26,17 @@ from meshca import (
     gen_random,
     is_ca_connected,
     radios,
+    rci_mitigate,
     run_scheme,
     score,
 )
-from meshca.topology import adjacent_pairs, potential_neighbors, preserves_all_pairs
+from meshca.metrics import LinkState
+from meshca.topology import adjacent_pairs, potential_neighbors
 
 
 def rule_ok(topo, ca, rule):
     if rule == "per-pair":
-        return preserves_all_pairs(topo, ca)
+        return oracles.all_pairs_linked(topo, ca)
     return is_ca_connected(topo, ca)
 
 
@@ -255,6 +257,40 @@ def test_hot_first_sweeps_match_full_rescoring(metric, seed, rule):
     topo = gen_grid(5, 5, 250, 250, 2, 3, 4)
     cfg = SchemeConfig(scheme="ho", metric=metric, seed=seed, connectivity_rule=rule)
     assert outcome(run_scheme(topo, cfg)) == ref_run_scheme(topo, cfg)
+
+
+def _stayed_put(topo, ca):
+    """Whether some radio still shares its node's channel with a lower radio
+    although the node leaves a channel unused."""
+    m = topo.radios_per_node
+    for n in topo.nodes:
+        chans = [ca[(n.id, r)] for r in range(m)]
+        if len(set(chans)) < min(m, topo.channel_count):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("rule", ["global", "per-pair"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_rci_mitigate_matches_full_rescoring(m, rule):
+    # c <= m + 1 leaves a duplicate few unused channels, so some find none
+    # acceptable and stay put while a later radio of their node still moves
+    rng = random.Random(m)
+    stayed = moved = 0
+    for _ in range(60):
+        topo = gen_grid(rng.randint(1, 2), rng.randint(3, 4), 100, 100, rng.randint(1, 2), m,
+                        rng.randint(2, m + 1))
+        ca = {radio: rng.randrange(topo.channel_count) for radio in radios(topo)}
+        for metric in ("tid", "cdal", "cxls"):
+            state = LinkState(topo, ca, metric)
+            moves = rci_mitigate(state, rule)
+            expected = ref_rci_mitigate(topo, ca, metric, rule)
+            assert state.ca == expected, metric
+            assert moves == sum(ca[radio] != expected[radio] for radio in ca)
+            assert state.score() == score(metric, topo, expected)
+            stayed += _stayed_put(topo, expected)
+            moved += moves > 0
+    assert stayed and moved
 
 
 @pytest.mark.parametrize("rule", ["global", "per-pair"])
