@@ -261,12 +261,20 @@ def cmd_eval(args) -> int:
 
 #: the keys of an experiment --config file whose values are JSON lists
 _CONFIG_LISTS = ("schemes", "metrics", "phy_rates", "seeds", "formats")
+#: every key an experiment --config file may hold
+_CONFIG_KEYS = ("topology", *_CONFIG_LISTS, "x", "output_dir")
 
 
 def _read_config(path: str) -> dict:
-    """An experiment --config file: its list keys must hold JSON lists and its
-    output_dir a string, or it is a ValidationError naming the key."""
+    """An experiment --config file: an unknown key, a list key that does not
+    hold a JSON list or an output_dir that is not a string is a
+    ValidationError naming the key."""
     data = load_json(path)
+    for key in data:
+        if key not in _CONFIG_KEYS:
+            raise ValidationError(
+                f"{path}: unknown key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}"
+            )
     for key in _CONFIG_LISTS:
         if key in data and not isinstance(data[key], list):
             raise ValidationError(f"{path}: {key} must be a JSON list, got {data[key]!r}")

@@ -1,10 +1,12 @@
 """Scheme x metric x rate x seed experiment matrix with CSV reporting.
 
-Each (scheme, metric, seed) cell optimizes an assignment once and scores it
-under all three metrics; the flow-contention estimator then runs it on the
-grid traffic pattern at every PHY rate, one row per rate. Rows are
-sorted by (scheme, metric, rate, seed); every (scheme, metric, rate) group
-is followed by a mean row whose seed column is "mean".
+Each (scheme, metric, seed) cell has one optimized assignment, scored under
+all three metrics; the flow-contention estimator then runs it on the grid
+traffic pattern at every PHY rate, one row per rate. One optimizer
+trajectory per (metric, seed) serves the pio, ko and ho cells, which are
+its prefixes; bio runs on its own. Rows are sorted by (scheme, metric,
+rate, seed); every (scheme, metric, rate) group is followed by a mean row
+whose seed column is "mean".
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from pathlib import Path
 
 from .errors import NonGridTopologyError, ValidationError
 from .evaluator import build_grid_flows, check_phy_rate, estimate_performance
-from .metrics import METRICS, all_scores, canonical_metric
-from .optimizer import SchemeConfig, run_scheme
+from .metrics import DIRECTIONS, METRICS, IemScore, all_scores, better, canonical_metric
+from .optimizer import TRAJECTORY_SCHEMES, SchemeConfig, run_scheme, trajectory
 from .topology import Topology, check_topology
 
 REPORT_COLUMNS = (
@@ -44,6 +46,9 @@ VALUE_COLUMNS = (
     "iterations",
     "wall_ms",
 )
+
+#: each metric's column in the report
+METRIC_COLUMNS = {"tid": "tid", "cdal": "cdal_cost", "cxls": "cxls_wt"}
 
 DEFAULT_SCHEMES = ("pio", "ko", "ho")
 DEFAULT_RATES = (9.0, 54.0)
@@ -121,46 +126,104 @@ class ExperimentReport:
         return out
 
 
-def _run_cell(cfg: ExperimentConfig, scheme, metric, seed, rates, flows) -> list[dict]:
-    """Optimize and score one (scheme, metric, seed) cell once; one row per rate.
+def _evaluate(cfg: ExperimentConfig, ca, rates, flows) -> tuple[dict, list, float]:
+    """Score one optimized assignment under every metric and estimate it at every rate.
 
-    An optimization error goes into every rate's row, an evaluation error
-    only into its own. wall_ms is the shared optimization and scoring time
-    plus that rate's evaluation time.
+    Returns (shared, per_rate, score_s): the score and error columns its rows
+    share, each rate's (throughput and error columns, seconds) and the
+    scoring seconds. A scoring error goes into shared and skips the
+    estimates; an estimation error goes only into its own rate's columns.
     """
     start = time.perf_counter()
     try:
-        scheme_cfg = SchemeConfig(
-            scheme=scheme,
-            metric=metric,
-            seed=seed,
-            max_iterations=cfg.max_iterations,
-            connectivity_rule=cfg.connectivity_rule,
-            bio_budget=cfg.bio_budget,
-            x=cfg.x,
-        )
-        ca, _, trace = run_scheme(cfg.topology, scheme_cfg)
         values = all_scores(cfg.topology, ca, cfg.x)
-        shared = {"tid": values["tid"], "cdal_cost": values["cdal"], "cxls_wt": values["cxls"],
-                  "iterations": len(trace.records), "error": ""}
+        shared = {col: values[m] for m, col in METRIC_COLUMNS.items()}
+        shared["error"] = ""
     except Exception as exc:  # recorded in every rate's row, surfaces as exit status 3
-        ca, shared = None, {"error": f"{type(exc).__name__}: {exc}"}
-    optimize_s = time.perf_counter() - start
+        shared = {"error": f"{type(exc).__name__}: {exc}"}
+    score_s = time.perf_counter() - start
 
-    rows = []
+    per_rate = []
     for rate in rates:
         start = time.perf_counter()
-        row = dict.fromkeys(REPORT_COLUMNS)
-        row.update(shared, scheme=scheme, metric=metric, phy_rate_mbps=rate, seed=seed)
-        if ca is not None and flows is not None:
+        cols = {}
+        if not shared["error"] and flows is not None:
             try:
                 report = estimate_performance(cfg.topology, ca, flows, rate)
-                row["est_aggregate_throughput_mbps"] = report.aggregate_throughput_mbps
+                cols["est_aggregate_throughput_mbps"] = report.aggregate_throughput_mbps
             except Exception as exc:
-                row["error"] = f"{type(exc).__name__}: {exc}"
-        row["wall_ms"] = round((optimize_s + time.perf_counter() - start) * 1000, 3)
+                cols["error"] = f"{type(exc).__name__}: {exc}"
+        per_rate.append((cols, time.perf_counter() - start))
+    return shared, per_rate, score_s
+
+
+def _cell_rows(key: tuple, rates, shared: dict, per_rate: list, elapsed_s: float) -> list[dict]:
+    """The rows of one (scheme, metric, seed) cell, one per rate; wall_ms is
+    elapsed_s plus that rate's estimation time."""
+    scheme, metric, seed = key
+    rows = []
+    for rate, (cols, eval_s) in zip(rates, per_rate):
+        row = dict.fromkeys(REPORT_COLUMNS)
+        row.update(shared, scheme=scheme, metric=metric, phy_rate_mbps=rate, seed=seed)
+        row.update(cols)
+        row["wall_ms"] = round((elapsed_s + eval_s) * 1000, 3)
         rows.append(row)
     return rows
+
+
+def _bio(topo: Topology, cfg: SchemeConfig):
+    """A bio run in the form of optimizer.trajectory: its one (scheme, snapshot)."""
+    yield "bio", run_scheme(topo, cfg)
+
+
+def _run_cells(cfg: ExperimentConfig, metric, seed, rates, flows) -> dict[str, list[dict]]:
+    """The rows of every requested scheme's cell for one (metric, seed).
+
+    A bio cell is a run of its own. The pio, ko and ho cells are snapshots
+    of one optimizer.trajectory, stopped after the last of them requested;
+    a snapshot whose assignment equals the last one scored reuses its
+    scores and estimates. An optimization error goes into every rate's row
+    of each cell it leaves without a snapshot. wall_ms is what a standalone
+    run would cost: the optimization time up to the cell's snapshot, plus
+    its scoring, plus the row's estimation.
+    """
+    runs = [(["bio"], _bio)] if "bio" in cfg.schemes else []
+    wanted = [s for s in TRAJECTORY_SCHEMES if s in cfg.schemes]
+    if wanted:
+        runs.append((wanted, trajectory))
+    cells = {}
+    for wanted, run in runs:
+        elapsed_s, last = 0.0, None  # optimization seconds; the last scored (ca, evaluation)
+        start = time.perf_counter()
+        try:
+            scheme_cfg = SchemeConfig(
+                scheme=wanted[-1],
+                metric=metric,
+                seed=seed,
+                max_iterations=cfg.max_iterations,
+                connectivity_rule=cfg.connectivity_rule,
+                bio_budget=cfg.bio_budget,
+                x=cfg.x,
+            )
+            for scheme, (ca, _, trace) in run(cfg.topology, scheme_cfg):
+                elapsed_s += time.perf_counter() - start
+                if scheme in wanted:
+                    if last is None or ca != last[0]:
+                        last = ca, _evaluate(cfg, ca, rates, flows)
+                    shared, per_rate, score_s = last[1]
+                    if not shared["error"]:
+                        shared = dict(shared, iterations=len(trace.records))
+                    cells[scheme] = _cell_rows((scheme, metric, seed), rates, shared, per_rate,
+                                               elapsed_s + score_s)
+                start = time.perf_counter()
+        except Exception as exc:  # recorded in every rate's row, surfaces as exit status 3
+            elapsed_s += time.perf_counter() - start
+            shared = {"error": f"{type(exc).__name__}: {exc}"}
+            for scheme in wanted:
+                if scheme not in cells:
+                    cells[scheme] = _cell_rows((scheme, metric, seed), rates, shared,
+                                               [({}, 0.0)] * len(rates), elapsed_s)
+    return cells
 
 
 def _mean_row(group: tuple[dict, ...]) -> dict:
@@ -175,19 +238,30 @@ def _mean_row(group: tuple[dict, ...]) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run every (scheme, metric, seed) cell and evaluate it at every rate.
+
+    Cells run per (metric, seed) as _run_cells describes; the rows are then
+    sorted by (scheme, metric, rate, seed), each (scheme, metric, rate)
+    group followed by its mean row, and summarized.
+    """
     try:
         flows = build_grid_flows(cfg.topology)
     except NonGridTopologyError:
         flows = None  # throughput column stays empty on non-grid layouts
 
     rates = sorted(cfg.phy_rates)
+    seeds = sorted(cfg.seeds)
+    cells = {}
+    for metric in cfg.metrics:
+        for seed in seeds:
+            for scheme, rows in _run_cells(cfg, metric, seed, rates, flows).items():
+                cells[scheme, metric, seed] = rows
+
     rows, mean_rows = [], []
     for scheme in sorted(cfg.schemes):
         for metric in sorted(cfg.metrics):
-            cells = [
-                _run_cell(cfg, scheme, metric, seed, rates, flows) for seed in sorted(cfg.seeds)
-            ]
-            for group in zip(*cells):  # one group per rate, members in seed order
+            # one group per rate, members in seed order
+            for group in zip(*(cells[scheme, metric, seed] for seed in seeds)):
                 rows.extend(group)
                 mean_rows.append(_mean_row(group))
 
@@ -200,7 +274,9 @@ def _summarize(report: ExperimentReport) -> dict:
     """Informative (non-gating) comparisons against the expected trends.
 
     Checks whether mean estimated throughput orders ho >= ko >= pio for each
-    (metric, rate), and the cxls-vs-tid throughput change per (scheme, rate).
+    (metric, rate), gives the cdal-vs-tid and cxls-vs-tid throughput change
+    per (scheme, rate), and counts per metric the seeds where ho strictly
+    beats ko, and ko pio, on the optimized metric.
     """
     means = {
         (m["scheme"], m["metric"], m["phy_rate_mbps"]): m["est_aggregate_throughput_mbps"]
@@ -219,17 +295,42 @@ def _summarize(report: ExperimentReport) -> dict:
                     continue
                 ordering[f"{metric}@{rate:g}Mbps"] = bool(ho >= ko >= pio)
 
-    cxls_vs_tid = {}
-    if {"cxls", "tid"} <= set(metrics):
-        for scheme in schemes:
-            for rate in rates:
-                t, c = means.get((scheme, "tid", rate)), means.get((scheme, "cxls", rate))
-                if t and c is not None:
-                    cxls_vs_tid[f"{scheme}@{rate:g}Mbps"] = round((c - t) / t * 100, 2)
+    def change_vs_tid(other: str) -> dict:
+        change = {}
+        if {other, "tid"} <= set(metrics):
+            for scheme in schemes:
+                for rate in rates:
+                    t, c = means.get((scheme, "tid", rate)), means.get((scheme, other, rate))
+                    if t and c is not None:
+                        change[f"{scheme}@{rate:g}Mbps"] = round((c - t) / t * 100, 2)
+        return change
+
+    # every rate's row of a cell holds the same scores; error rows hold none
+    scores = {
+        (r["scheme"], r["metric"], r["seed"]): IemScore(
+            r["metric"], r[METRIC_COLUMNS[r["metric"]]], DIRECTIONS[r["metric"]]
+        )
+        for r in report.rows
+        if r[METRIC_COLUMNS[r["metric"]]] is not None
+    }
+
+    seeds = sorted({r["seed"] for r in report.rows})
+
+    def seeds_beating(strong: str, weak: str) -> dict:
+        wins = {}
+        if {strong, weak} <= set(schemes):
+            for metric in metrics:
+                pairs = [(scores.get((strong, metric, seed)), scores.get((weak, metric, seed)))
+                         for seed in seeds]
+                wins[metric] = sum(1 for a, b in pairs if a and b and better(a, b))
+        return wins
 
     return {
         "ho_ge_ko_ge_pio_by_throughput": ordering,
-        "cxls_vs_tid_throughput_change_pct": cxls_vs_tid,
+        "cxls_vs_tid_throughput_change_pct": change_vs_tid("cxls"),
+        "cdal_vs_tid_throughput_change_pct": change_vs_tid("cdal"),
+        "seeds_ho_beats_ko": seeds_beating("ho", "ko"),
+        "seeds_ko_beats_pio": seeds_beating("ko", "pio"),
     }
 
 

@@ -147,7 +147,8 @@ def all_scores(topo: Topology, ca: ChannelAssignment, x: int | None = None) -> d
 # Scoring from the per-node channel histogram
 # ---------------------------------------------------------------------------
 
-_DIRECTIONS = {"tid": MINIMIZE, "cdal": MINIMIZE, "cxls": MAXIMIZE}
+#: each metric's optimization direction
+DIRECTIONS = {"tid": MINIMIZE, "cdal": MINIMIZE, "cxls": MAXIMIZE}
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -343,4 +344,4 @@ class LinkState:
                     self._weights[i] = w
                 self._dirty.clear()
             value = self._total / self._scale
-        return IemScore(self.metric, value, _DIRECTIONS[self.metric])
+        return IemScore(self.metric, value, DIRECTIONS[self.metric])

@@ -10,9 +10,11 @@ Four schemes share one pluggable objective (any metric from meshca.metrics):
          further sweeps that visit radios of elevated-interference nodes
          first, again to a fixpoint.
 
-Every optimization step is non-worsening, so for one (topology, metric,
-seed) the final scores satisfy ho >= ko >= pio in the metric's direction by
-construction. All schemes are deterministic given their inputs.
+pio, ko and ho are prefixes of one trajectory, which trajectory() runs once
+and snapshots at each scheme's end. Every optimization step is
+non-worsening, so for one (topology, metric, seed) the final scores satisfy
+ho >= ko >= pio in the metric's direction by construction. All schemes are
+deterministic given their inputs.
 
 Each run validates its assignment once and keeps it in one
 metrics.LinkState with the run's metric and x: pio/ko/ho build it in
@@ -41,6 +43,8 @@ from .topology import (
 )
 
 SCHEMES = ("bio", "pio", "ko", "ho")
+#: the schemes trajectory() snapshots, in the order it reaches them
+TRAJECTORY_SCHEMES = ("pio", "ko", "ho")
 CONNECTIVITY_RULES = ("global", "per-pair")
 
 
@@ -335,67 +339,83 @@ def bio_assign(
     return ca, s, feasible
 
 
-def run_scheme(
-    topo: Topology, cfg: SchemeConfig
-) -> tuple[ChannelAssignment, IemScore, OptimizationTrace]:
-    """Run one scheme end to end and return (assignment, score, trace)."""
+Snapshot = tuple[ChannelAssignment, IemScore, OptimizationTrace]
+
+
+def trajectory(topo: Topology, cfg: SchemeConfig):
+    """Run the one pio/ko/ho trajectory, yielding (scheme, snapshot) as each
+    scheme's result is reached, up to and including cfg.scheme.
+
+    pio is sweep 1; ko continues the sweeps to a fixpoint, sweep 1 counting
+    toward cfg.max_iterations; ho then runs rci_mitigate and hot-first sweeps
+    with the budget the ko sweeps left. A snapshot is (assignment, score,
+    trace) as of that point: the trace holds the records so far and the
+    feasibility there, and is checked to be non-worsening.
+    """
     check_topology(topo)
-    metric = cfg.metric
-
-    if cfg.scheme == "bio":
-        ca, final, feasible = bio_assign(topo, cfg)
-        trace = OptimizationTrace(
-            metric=metric,
-            direction=final.direction,
-            initial_score=final.value,
-            records=[],
-            feasible=feasible,
-        )
-        return ca, final, trace
-
     state, _ = initial_assignment(topo, cfg)
     rule = cfg.connectivity_rule
     initial = state.score()
-    trace = OptimizationTrace(
-        metric=metric, direction=initial.direction, initial_score=initial.value
-    )
+    records: list[TraceRecord] = []
     asc_order = radios(topo)
 
-    def record(moves: int) -> None:
-        trace.records.append(TraceRecord(len(trace.records) + 1, state.score().value, moves))
+    def record(moves: int) -> int:
+        records.append(TraceRecord(len(records) + 1, state.score().value, moves))
+        return moves
 
-    def sweep_to_fixpoint(order_fn, budget: int) -> int:
-        used = 0
-        while used < budget:
-            moves = improve_sweep(state, order_fn(), rule)
-            record(moves)
-            used += 1
-            if not moves:
-                break
-        return used
+    def snapshot() -> Snapshot:
+        trace = OptimizationTrace(
+            metric=cfg.metric,
+            direction=initial.direction,
+            initial_score=initial.value,
+            records=list(records),
+            feasible=_state_ok(state, rule),
+        )
+        _check_monotone(trace)
+        return dict(state.ca), state.score(), trace
 
+    moves = record(improve_sweep(state, asc_order, rule))
+    yield "pio", snapshot()
     if cfg.scheme == "pio":
-        record(improve_sweep(state, asc_order, rule))
-    elif cfg.scheme == "ko":
-        sweep_to_fixpoint(lambda: asc_order, cfg.max_iterations)
-    else:  # ho: the ko trajectory, then co-location cleanup, then hot-first sweeps
-        used = sweep_to_fixpoint(lambda: asc_order, cfg.max_iterations)
-        record(rci_mitigate(state, rule))
+        return
+    used = 1
+    while moves and used < cfg.max_iterations:
+        moves = record(improve_sweep(state, asc_order, rule))
+        used += 1
+    yield "ko", snapshot()
+    if cfg.scheme == "ko":
+        return
+    record(rci_mitigate(state, rule))
 
-        def hot_first_order():
-            hot = eiz_detect(state)
-            hot_set = set(hot)
-            m = topo.radios_per_node
-            prioritized = [(n, r) for n in hot for r in range(m)]
-            rest = [radio for radio in asc_order if radio[0] not in hot_set]
-            return prioritized + rest
+    def hot_first_order():
+        hot = eiz_detect(state)
+        hot_set = set(hot)
+        m = topo.radios_per_node
+        prioritized = [(n, r) for n in hot for r in range(m)]
+        rest = [radio for radio in asc_order if radio[0] not in hot_set]
+        return prioritized + rest
 
-        sweep_to_fixpoint(hot_first_order, cfg.max_iterations - used)
+    for _ in range(cfg.max_iterations - used):
+        if not record(improve_sweep(state, hot_first_order(), rule)):
+            break
+    yield "ho", snapshot()
 
-    final = state.score()
-    trace.feasible = _state_ok(state, rule)
-    _check_monotone(trace)
-    return state.ca, final, trace
+
+def run_scheme(topo: Topology, cfg: SchemeConfig) -> Snapshot:
+    """Run one scheme end to end and return (assignment, score, trace)."""
+    if cfg.scheme != "bio":
+        *_, (_, result) = trajectory(topo, cfg)
+        return result
+    check_topology(topo)
+    ca, final, feasible = bio_assign(topo, cfg)
+    trace = OptimizationTrace(
+        metric=cfg.metric,
+        direction=final.direction,
+        initial_score=final.value,
+        records=[],
+        feasible=feasible,
+    )
+    return ca, final, trace
 
 
 def _check_monotone(trace: OptimizationTrace) -> None:

@@ -63,6 +63,35 @@ MUTANTS = [
         'if key in data and not isinstance(data[key], (list, str) if key == "schemes" else list):',
         ["tests/test_cli.py::TestExperiment::test_config_file_wrong_type_exit_one[schemes]"],
     ),
+    (
+        # the ko snapshot comes before the co-location cleanup, which is ho's
+        "src/meshca/optimizer.py",
+        """    yield "ko", snapshot()
+    if cfg.scheme == "ko":
+        return
+    record(rci_mitigate(state, rule))
+""",
+        """    moves = record(rci_mitigate(state, rule))
+    yield "ko", snapshot()
+    if cfg.scheme == "ko":
+        return
+""",
+        [
+            "tests/test_experiment.py::TestSharedTrajectory::test_rci_error_only_in_ho_rows",
+            "tests/test_optimizer.py::TestTrajectory::test_stops_after_the_last_scheme_asked_for"
+            "[ko-phases1]",
+        ],
+    ),
+    (
+        # scores are reused only for a snapshot equal to the last one scored
+        "src/meshca/experiment.py",
+        "if last is None or ca != last[0]:",
+        "if last is None:",
+        [
+            "tests/test_experiment.py::TestSharedTrajectory::test_rows_match_standalone_runs",
+            "tests/test_experiment.py::TestSharedTrajectory::test_identical_snapshots_are_scored_once",
+        ],
+    ),
 ]
 
 

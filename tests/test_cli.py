@@ -485,6 +485,42 @@ class TestExperiment:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("key, value", [("seed", [3]), ("max_iterations", 1)])
+    def test_config_file_unknown_key_exit_one(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MESHCA_OUTPUT_DIR", raising=False)
+        settings = {"schemes": ["pio"], "metrics": ["tid"], "phy_rates": [9], key: value}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(settings))
+        code, out, err = run_cli(
+            capsys, "experiment", "--config", str(config),
+            "--rows", "1", "--cols", "2", "--radios", "1", "--channels", "2")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"meshca: error: {config}: unknown key {key!r}; expected one of topology, schemes, "
+            "metrics, phy_rates, seeds, formats, x, output_dir\n"
+        )
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_config_file_every_key(self, tmp_path, capsys):
+        from meshca.fileio import topology_to_dict
+
+        outdir = tmp_path / "from-config"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "topology": topology_to_dict(gen_grid(1, 2, 100, 100, 2, 1, 2)),
+            "schemes": ["pio"], "metrics": ["cxls"], "phy_rates": [9], "seeds": [3],
+            "x": 1, "output_dir": str(outdir), "formats": ["csv"],
+        }))
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(config))
+        assert code == 0
+        with open(outdir / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["scheme"], r["metric"], r["seed"]) for r in rows] == [
+            ("pio", "cxls", "3"), ("pio", "cxls", "mean")]
+        assert not (outdir / "report.json").exists()
+
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MESHCA_OUTPUT_DIR", str(tmp_path / "env-out"))
         code, _, _ = run_cli(

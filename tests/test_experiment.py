@@ -1,10 +1,24 @@
 import csv
 import re
+import time
 
 import pytest
 
-from meshca import ExperimentConfig, ValidationError, experiment, gen_grid, run_experiment
-from meshca.experiment import REPORT_COLUMNS, write_plot_data, write_report_csv
+from meshca import (
+    ExperimentConfig,
+    SchemeConfig,
+    ValidationError,
+    all_scores,
+    better,
+    build_grid_flows,
+    estimate_performance,
+    experiment,
+    gen_grid,
+    optimizer,
+    run_experiment,
+    run_scheme,
+)
+from meshca.experiment import METRIC_COLUMNS, REPORT_COLUMNS, write_plot_data, write_report_csv
 
 
 @pytest.fixture(scope="module")
@@ -157,10 +171,15 @@ class TestMatrix:
 
 def two_rate_config(**overrides) -> ExperimentConfig:
     settings = dict(
-        schemes=("pio", "ko"), metrics=("tid", "cxls"), phy_rates=(54.0, 9.0), seeds=(2, 1)
+        topology=gen_grid(2, 3, 100, 100, 2, 2, 3), schemes=("pio", "ko"),
+        metrics=("tid", "cxls"), phy_rates=(54.0, 9.0), seeds=(2, 1),
     )
     settings.update(overrides)
-    return ExperimentConfig(topology=gen_grid(2, 3, 100, 100, 2, 2, 3), **settings)
+    return ExperimentConfig(**settings)
+
+
+def without_wall_ms(rows) -> list[dict]:
+    return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
 
 
 def rows_by_cell(report) -> dict:
@@ -171,20 +190,26 @@ def rows_by_cell(report) -> dict:
 
 
 class TestOncePerCell:
-    def test_run_scheme_once_per_scheme_metric_seed(self, monkeypatch):
+    def test_one_trajectory_per_metric_seed(self, monkeypatch):
         calls = []
-        real = experiment.run_scheme
+        for name in ("initial_assignment", "bio_assign"):
+            real = getattr(optimizer, name)
 
-        def counting(topo, cfg):
-            calls.append((cfg.scheme, cfg.metric, cfg.seed))
-            return real(topo, cfg)
+            def counting(topo, cfg, _real=real, _name=name):
+                calls.append((_name, cfg.metric, cfg.seed))
+                return _real(topo, cfg)
 
-        monkeypatch.setattr(experiment, "run_scheme", counting)
-        cfg = two_rate_config()
+            monkeypatch.setattr(optimizer, name, counting)
+        cfg = two_rate_config(topology=gen_grid(1, 3, 100, 100, 2, 2, 2),
+                              schemes=("bio", "pio", "ko", "ho"))
         report = run_experiment(cfg)
-        assert len(calls) == len(cfg.schemes) * len(cfg.metrics) * len(cfg.seeds)
-        assert len(set(calls)) == len(calls)
-        assert len(report.rows) == len(calls) * len(cfg.phy_rates)
+        # pio, ko and ho share one trajectory per (metric, seed); bio runs per cell
+        runs = [(metric, seed) for metric in cfg.metrics for seed in sorted(cfg.seeds)]
+        assert sorted(calls) == sorted(
+            [("bio_assign", *run) for run in runs] + [("initial_assignment", *run) for run in runs]
+        )
+        assert len(report.rows) == 4 * len(runs) * len(cfg.phy_rates)
+        assert not report.failed
 
     def test_rates_of_a_cell_share_its_optimization(self):
         cells = rows_by_cell(run_experiment(two_rate_config()))
@@ -230,6 +255,89 @@ class TestOncePerCell:
             assert (mean["tid"] is None) == (mean["phy_rate_mbps"] == 54.0)
 
 
+class TestSharedTrajectory:
+    def test_rows_match_standalone_runs(self):
+        cfg = two_rate_config(schemes=("pio", "ko", "ho"), metrics=("tid", "cdal", "cxls"),
+                              seeds=(1, 2, 3))
+        report = run_experiment(cfg)
+        flows = build_grid_flows(cfg.topology)
+        for row in report.rows:
+            ca, _, trace = run_scheme(cfg.topology, SchemeConfig(
+                scheme=row["scheme"], metric=row["metric"], seed=row["seed"]))
+            values = all_scores(cfg.topology, ca)
+            expected = {col: values[metric] for metric, col in METRIC_COLUMNS.items()}
+            expected.update(
+                iterations=len(trace.records), error="",
+                est_aggregate_throughput_mbps=estimate_performance(
+                    cfg.topology, ca, flows, row["phy_rate_mbps"]
+                ).aggregate_throughput_mbps,
+            )
+            assert {col: row[col] for col in expected} == expected, row
+
+    def test_identical_snapshots_are_scored_once(self, monkeypatch):
+        cfg = two_rate_config(schemes=("pio", "ko", "ho"), metrics=("tid", "cdal", "cxls"),
+                              seeds=(1, 2, 3))
+        scored = []
+        real = experiment.all_scores
+
+        def counting(topo, ca, x=None):
+            scored.append(dict(ca))
+            return real(topo, ca, x)
+
+        monkeypatch.setattr(experiment, "all_scores", counting)
+        run_experiment(cfg)
+        distinct = []
+        for metric in cfg.metrics:
+            for seed in cfg.seeds:
+                cas = [run_scheme(cfg.topology, SchemeConfig(scheme=s, metric=metric, seed=seed))[0]
+                       for s in ("pio", "ko", "ho")]
+                distinct += [ca for i, ca in enumerate(cas) if i == 0 or ca != cas[i - 1]]
+        # on this grid some snapshots repeat the one before and some do not
+        assert 9 < len(distinct) < 27
+        assert sorted(map(sorted, map(dict.items, scored))) == sorted(
+            map(sorted, map(dict.items, distinct)))
+
+    def test_rci_error_only_in_ho_rows(self, monkeypatch):
+        cfg = two_rate_config(schemes=("pio", "ko", "ho"))
+        clean = run_experiment(cfg)
+
+        def failing(state, connectivity_rule="global"):
+            raise RuntimeError("no cleanup")
+
+        monkeypatch.setattr(optimizer, "rci_mitigate", failing)
+        report = run_experiment(cfg)
+        assert len(report.rows) == len(clean.rows)
+        ho = [r for r in report.rows if r["scheme"] == "ho"]
+        assert len(ho) == len(cfg.metrics) * len(cfg.seeds) * len(cfg.phy_rates)
+        for row in ho:
+            assert row["error"] == "RuntimeError: no cleanup"
+            assert all(row[col] is None for col in (
+                "tid", "cdal_cost", "cxls_wt", "est_aggregate_throughput_mbps", "iterations"))
+        assert without_wall_ms(r for r in report.rows if r["scheme"] != "ho") == without_wall_ms(
+            r for r in clean.rows if r["scheme"] != "ho")
+
+    def test_optimization_error_before_any_snapshot_in_every_row(self, monkeypatch):
+        def failing(topo, cfg):
+            raise RuntimeError("no start")
+
+        monkeypatch.setattr(optimizer, "initial_assignment", failing)
+        report = run_experiment(two_rate_config(schemes=("pio", "ko", "ho")))
+        assert len(report.rows) == 3 * 2 * 2 * 2
+        assert {r["error"] for r in report.rows} == {"RuntimeError: no start"}
+
+    def test_wall_ms_grows_along_the_trajectory(self, monkeypatch):
+        real = optimizer.rci_mitigate
+
+        def slow(state, connectivity_rule="global"):
+            time.sleep(0.2)
+            return real(state, connectivity_rule)
+
+        monkeypatch.setattr(optimizer, "rci_mitigate", slow)
+        report = run_experiment(two_rate_config(schemes=("pio", "ko", "ho"), seeds=(1,)))
+        for row in report.rows:
+            assert (row["wall_ms"] >= 200) == (row["scheme"] == "ho")
+
+
 class TestOutputs:
     def test_report_csv_layout(self, small_report, tmp_path):
         path = tmp_path / "report.csv"
@@ -259,7 +367,44 @@ class TestOutputs:
         assert set(small_report.summary) == {
             "ho_ge_ko_ge_pio_by_throughput",
             "cxls_vs_tid_throughput_change_pct",
+            "cdal_vs_tid_throughput_change_pct",
+            "seeds_ho_beats_ko",
+            "seeds_ko_beats_pio",
         }
         # pio+ko only: the three-scheme ordering cannot be evaluated
         assert small_report.summary["ho_ge_ko_ge_pio_by_throughput"] == {}
         assert small_report.summary["cxls_vs_tid_throughput_change_pct"]
+        # no cdal and no ho: nothing to compare
+        assert small_report.summary["cdal_vs_tid_throughput_change_pct"] == {}
+        assert small_report.summary["seeds_ho_beats_ko"] == {}
+        assert set(small_report.summary["seeds_ko_beats_pio"]) == {"tid", "cxls"}
+
+    def test_summary_pinned_on_a_small_matrix(self):
+        topo = gen_grid(2, 3, 100, 100, 2, 2, 3)
+        report = run_experiment(ExperimentConfig(topology=topo, seeds=(1, 2, 3), phy_rates=(9.0,)))
+        assert report.summary == {
+            "ho_ge_ko_ge_pio_by_throughput": {
+                "cdal@9Mbps": True, "cxls@9Mbps": True, "tid@9Mbps": False},
+            "cxls_vs_tid_throughput_change_pct": {
+                "ho@9Mbps": 26.67, "ko@9Mbps": 16.67, "pio@9Mbps": 9.38},
+            "cdal_vs_tid_throughput_change_pct": {
+                "ho@9Mbps": 6.67, "ko@9Mbps": 6.67, "pio@9Mbps": 0.0},
+            "seeds_ho_beats_ko": {"cdal": 0, "cxls": 2, "tid": 0},
+            "seeds_ko_beats_pio": {"cdal": 0, "cxls": 1, "tid": 2},
+        }
+        # built like the cxls change, from the mean throughput rows
+        means = {(m["scheme"], m["metric"]): m["est_aggregate_throughput_mbps"]
+                 for m in report.mean_rows}
+        for scheme in ("pio", "ko", "ho"):
+            t, c = means[scheme, "tid"], means[scheme, "cdal"]
+            assert report.summary["cdal_vs_tid_throughput_change_pct"][f"{scheme}@9Mbps"] == round(
+                (c - t) / t * 100, 2)
+        # the seed counts follow from standalone runs' scores
+        for strong, weak in (("ho", "ko"), ("ko", "pio")):
+            for metric in ("tid", "cdal", "cxls"):
+                wins = sum(
+                    better(*(run_scheme(topo, SchemeConfig(scheme=s, metric=metric, seed=seed))[1]
+                             for s in (strong, weak)))
+                    for seed in (1, 2, 3)
+                )
+                assert report.summary[f"seeds_{strong}_beats_{weak}"][metric] == wins

@@ -2,6 +2,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_random_assignment, make_random_topology
@@ -23,8 +25,9 @@ from meshca import (
     score,
     uniform_assignment,
 )
-from meshca.metrics import LinkState
-from meshca.optimizer import node_interference
+from meshca import optimizer
+from meshca.metrics import METRICS, LinkState
+from meshca.optimizer import TRAJECTORY_SCHEMES, node_interference, trajectory
 
 
 def random_feasible_ca(topo, rng, tries=200):
@@ -355,3 +358,60 @@ class TestRunScheme:
         ca, s, _ = run_scheme(line3_m2_c3, cfg)
         assert s.value == score("cxls", line3_m2_c3, ca, x=1).value
         assert is_ca_connected(line3_m2_c3, ca)
+
+
+class TestTrajectory:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 2), cols=st.integers(2, 3), m=st.integers(2, 3),
+        c=st.integers(2, 4), metric=st.sampled_from(METRICS),
+        rule=st.sampled_from(["global", "per-pair"]), seed=st.integers(0, 3),
+        max_iterations=st.sampled_from([1, 2, 100]),
+    )
+    def test_each_snapshot_equals_a_standalone_run(
+        self, rows, cols, m, c, metric, rule, seed, max_iterations
+    ):
+        topo = gen_grid(rows, cols, 100, 100, 2, m, c)
+        settings = dict(metric=metric, seed=seed, max_iterations=max_iterations,
+                        connectivity_rule=rule)
+        snapshots = list(trajectory(topo, SchemeConfig(scheme="ho", **settings)))
+        assert [scheme for scheme, _ in snapshots] == list(TRAJECTORY_SCHEMES)
+        for scheme, (ca, final, trace) in snapshots:
+            alone_ca, alone_final, alone_trace = run_scheme(
+                topo, SchemeConfig(scheme=scheme, **settings)
+            )
+            assert ca == alone_ca
+            assert final == alone_final
+            assert trace.records == alone_trace.records
+            assert trace.feasible == alone_trace.feasible
+            assert trace.initial_score == alone_trace.initial_score
+
+    # seed 2 on this grid: ko sweeps 4 times (the last moves nothing), ho
+    # adds the cleanup and one hot-first sweep that moves nothing
+    @pytest.mark.parametrize("last, phases", [
+        ("pio", ["sweep"]),
+        ("ko", ["sweep"] * 4),
+        ("ho", ["sweep"] * 4 + ["rci", "sweep"]),
+    ])
+    def test_stops_after_the_last_scheme_asked_for(self, monkeypatch, last, phases):
+        calls = []
+        for name, phase in (("improve_sweep", "sweep"), ("rci_mitigate", "rci")):
+            real = getattr(optimizer, name)
+
+            def counting(*args, _real=real, _phase=phase, **kwargs):
+                calls.append(_phase)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(optimizer, name, counting)
+        topo = gen_grid(2, 3, 100, 100, 2, 2, 3)
+        schemes = [s for s, _ in trajectory(topo, SchemeConfig(scheme=last, seed=2))]
+        assert schemes == list(TRAJECTORY_SCHEMES[: TRAJECTORY_SCHEMES.index(last) + 1])
+        assert calls == phases
+
+    def test_snapshots_do_not_share_state(self):
+        topo = gen_grid(2, 3, 100, 100, 2, 2, 3)
+        snapshots = dict(trajectory(topo, SchemeConfig(scheme="ho", seed=2)))
+        pio_ca, _, pio_trace = snapshots["pio"]
+        _, _, ho_trace = snapshots["ho"]
+        assert pio_ca == run_scheme(topo, SchemeConfig(scheme="pio", seed=2))[0]
+        assert len(pio_trace.records) == 1 < len(ho_trace.records)
