@@ -37,7 +37,7 @@ from .fileio import (
     save_trace,
     topology_from_dict,
 )
-from .metrics import METRICS, all_scores
+from .metrics import METRIC_COLUMNS, METRICS, all_scores
 from .optimizer import CONNECTIVITY_RULES, SCHEMES, SchemeConfig, run_scheme
 from .topology import adjacent_pairs, gen_grid, gen_random
 
@@ -224,16 +224,14 @@ def cmd_score(args) -> int:
     topo = load_topology(args.topology)
     ca = load_assignment(args.assignment)
     values = all_scores(topo, ca, args.x)
+    reported = {column: values[name] for name, column in METRIC_COLUMNS.items()}
     if args.json:
-        print(json.dumps(
-            {"tid": values["tid"], "cdal_cost": values["cdal"], "cxls_wt": values["cxls"]},
-            sort_keys=True,
-        ))
+        print(json.dumps(reported, sort_keys=True))
     elif args.csv:
-        print("tid,cdal_cost,cxls_wt")
-        print(f"{values['tid']!r},{values['cdal']!r},{values['cxls']!r}")
+        print(",".join(reported))
+        print(",".join(repr(value) for value in reported.values()))
     else:
-        print(f"tid={values['tid']!r} cdal_cost={values['cdal']!r} cxls_wt={values['cxls']!r}")
+        print(" ".join(f"{column}={value!r}" for column, value in reported.items()))
     return EXIT_OK
 
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the number rules checked with it."""
+
+import math
 
 
 class MeshCAError(Exception):
@@ -35,3 +37,26 @@ class BudgetExceededError(MeshCAError):
             f"exhaustive search space has {search_space} assignments, "
             f"which exceeds the budget of {budget}"
         )
+
+
+def is_integer(value) -> bool:
+    """An int that is not a bool: True and False are never a count, an id or a channel."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_float(value, what: str) -> float:
+    """value, an int or a float that is not a bool, as a float; else a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} {value!r} is not a finite number") from None
+
+
+def positive_float(value, what: str) -> float:
+    """as_float(value, what), which must also be finite and > 0."""
+    value = as_float(value, what)
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{what} must be a finite number > 0, got {value!r}")
+    return value

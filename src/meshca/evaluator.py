@@ -9,11 +9,9 @@ reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
-from .errors import NonGridTopologyError, ValidationError
+from .errors import NonGridTopologyError, ValidationError, positive_float
 from .metrics import LinkState
 from .topology import (
     ChannelAssignment,
@@ -111,13 +109,8 @@ def build_grid_flows(
 
 
 def check_phy_rate(phy_rate: float) -> None:
-    """Require a PHY rate (Mbps) that is a finite real number > 0, not a bool."""
-    if (
-        isinstance(phy_rate, bool)
-        or not isinstance(phy_rate, Real)
-        or not (math.isfinite(phy_rate) and phy_rate > 0)
-    ):
-        raise ValidationError(f"phy_rate must be a finite number > 0, got {phy_rate!r}")
+    """Require a PHY rate (Mbps) that is an int or float, not a bool, finite and > 0."""
+    positive_float(phy_rate, "phy_rate")
 
 
 def estimate_performance(
@@ -134,14 +127,22 @@ def estimate_performance(
     phy_rate / (1 + active conflicting links), split evenly over the flows
     using it; a flow runs at the minimum over its hops. A flow whose path
     has fewer than two nodes has no hop and is a ValidationError, as is a
-    phy_rate check_phy_rate rejects.
+    flow whose source and destination are not its path's ends, one whose
+    path names a node the topology lacks, and a phy_rate check_phy_rate
+    rejects.
     """
     check_phy_rate(phy_rate)
     state = LinkState(topo, ca)
-    for flow in flows:
-        if len(flow.path) < 2:
-            raise ValidationError(f"flow path {flow.path!r} has no hop; it needs >= 2 nodes")
     inst, links, k = state.inst, state.links, state.k
+    for flow in flows:
+        path = flow.path
+        if len(path) < 2:
+            raise ValidationError(f"flow path {path!r} has no hop; it needs >= 2 nodes")
+        if (path[0], path[-1]) != (flow.source, flow.destination) or not all(
+            node in inst.index for node in path
+        ):
+            raise ValidationError(f"flow {flow.source}->{flow.destination}: path {path!r} "
+                                  "must run from source to destination over topology nodes")
     degrees = conflict_degrees(inst, links)
     # every link of one pair on one channel has the same degree, so a hop
     # picks a (pair, channel); its link is the first such radio pair

@@ -19,9 +19,10 @@ from pathlib import Path
 
 from .errors import NonGridTopologyError, ValidationError
 from .evaluator import build_grid_flows, check_phy_rate, estimate_performance
-from .metrics import DIRECTIONS, METRICS, IemScore, all_scores, better, canonical_metric
+from .metrics import (DIRECTIONS, METRIC_COLUMNS, METRICS, IemScore, all_scores, better,
+                      canonical_metric)
 from .optimizer import TRAJECTORY_SCHEMES, SchemeConfig, run_scheme, trajectory
-from .topology import Topology, check_topology
+from .topology import Topology
 
 REPORT_COLUMNS = (
     "scheme",
@@ -47,9 +48,6 @@ VALUE_COLUMNS = (
     "wall_ms",
 )
 
-#: each metric's column in the report
-METRIC_COLUMNS = {"tid": "tid", "cdal": "cdal_cost", "cxls": "cxls_wt"}
-
 DEFAULT_SCHEMES = ("pio", "ko", "ho")
 DEFAULT_RATES = (9.0, 54.0)
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -68,7 +66,6 @@ class ExperimentConfig:
     bio_budget: int = SchemeConfig.bio_budget
 
     def __post_init__(self):
-        check_topology(self.topology)
         if not (self.schemes and self.metrics and self.phy_rates and self.seeds):
             raise ValidationError("schemes, metrics, phy_rates and seeds must be non-empty")
         self.metrics = tuple(canonical_metric(m) for m in self.metrics)

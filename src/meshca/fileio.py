@@ -12,10 +12,10 @@ import re
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 from .evaluator import PerfReport
 from .optimizer import OptimizationTrace
-from .topology import ChannelAssignment, Node, Topology, check_topology
+from .topology import ChannelAssignment, Node, Topology
 
 
 def dump_json(obj, path: str | Path) -> None:
@@ -33,23 +33,6 @@ def load_json(path: str | Path) -> dict:
     return data
 
 
-def _integer(value, what: str) -> int:
-    # bool is an int subclass, but true/false are not numbers here
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} {value!r} is not an integer")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """A JSON number (int or float) as a float; bools, strings and others are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{what} {value!r} is not a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{what} {value!r} is not a finite number") from None
-
-
 # ---------------------------------------------------------------------------
 # Topology files
 # ---------------------------------------------------------------------------
@@ -65,31 +48,19 @@ def topology_to_dict(topo: Topology) -> dict:
 
 
 def topology_from_dict(data: dict) -> Topology:
+    """The file object's Topology, nodes sorted by id; Node and Topology check the fields."""
     try:
-        nodes = tuple(
-            sorted(
-                (
-                    Node(
-                        _integer(n["id"], "node id"),
-                        _number(n["x"], "node x"),
-                        _number(n["y"], "node y"),
-                    )
-                    for n in data["nodes"]
-                ),
-                key=lambda n: n.id,
-            )
+        nodes = sorted((Node(n["id"], n["x"], n["y"]) for n in data["nodes"]),
+                       key=lambda n: n.id)
+        return Topology(
+            nodes=tuple(nodes),
+            radios_per_node=data["radios_per_node"],
+            tx_range=data["tx_range"],
+            interference_x=data["interference_x"],
+            channel_count=data["channel_count"],
         )
-        topo = Topology(
-            nodes=nodes,
-            radios_per_node=_integer(data["radios_per_node"], "radios_per_node"),
-            tx_range=_number(data["tx_range"], "tx_range"),
-            interference_x=_integer(data["interference_x"], "interference_x"),
-            channel_count=_integer(data["channel_count"], "channel_count"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed topology data: {exc}") from exc
-    check_topology(topo)
-    return topo
 
 
 def save_topology(topo: Topology, path: str | Path) -> None:
@@ -114,7 +85,10 @@ _RADIO_KEY = re.compile(r"(-?[0-9]+):([0-9]+)")
 def assignment_from_dict(data: dict) -> ChannelAssignment:
     ca: ChannelAssignment = {}
     for key, ch in data.items():
-        _integer(ch, f"malformed assignment entry {key!r}: channel")
+        if not is_integer(ch):
+            raise ValidationError(
+                f"malformed assignment entry {key!r}: channel {ch!r} is not an integer"
+            )
         match = _RADIO_KEY.fullmatch(key)
         try:
             ca[(int(match[1]), int(match[2]))] = ch

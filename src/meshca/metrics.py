@@ -50,6 +50,10 @@ MAXIMIZE = "maximize"
 #: canonical metric names accepted everywhere a metric is selected by name
 METRICS = ("tid", "cdal", "cxls")
 
+#: each metric's name in reports (score output, experiment columns); a
+#: report name is also accepted wherever a metric is selected by name
+METRIC_COLUMNS = {"tid": "tid", "cdal": "cdal_cost", "cxls": "cxls_wt"}
+
 
 @dataclass(frozen=True)
 class IemScore:
@@ -131,8 +135,7 @@ def canonical_metric(metric: str) -> str:
     if not isinstance(metric, str):
         raise ValidationError(f"unknown metric {metric!r}; expected one of {METRICS}")
     name = metric.strip().lower()
-    aliases = {"cdal_cost": "cdal", "cxls_wt": "cxls"}
-    name = aliases.get(name, name)
+    name = {column: name for name, column in METRIC_COLUMNS.items()}.get(name, name)
     if name not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}; expected one of {METRICS}")
     return name

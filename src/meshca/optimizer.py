@@ -31,12 +31,11 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, ValidationError, is_integer
 from .metrics import MAXIMIZE, IemScore, LinkState, better, canonical_metric
 from .topology import (
     ChannelAssignment,
     Topology,
-    check_topology,
     conflict_degrees,
     potential_neighbors,
     radios,
@@ -76,15 +75,13 @@ class SchemeConfig:
         object.__setattr__(self, "connectivity_rule", rule)
         for name in ("seed", "max_iterations", "bio_budget"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
         if self.bio_budget < 1:
             raise ValidationError("bio_budget must be >= 1")
-        if self.x is not None and (
-            isinstance(self.x, bool) or not isinstance(self.x, int) or self.x < 1
-        ):
+        if self.x is not None and not (is_integer(self.x) and self.x >= 1):
             raise ValidationError(f"x must be None or an integer >= 1, got {self.x!r}")
 
 
@@ -352,7 +349,6 @@ def trajectory(topo: Topology, cfg: SchemeConfig):
     trace) as of that point: the trace holds the records so far and the
     feasibility there, and is checked to be non-worsening.
     """
-    check_topology(topo)
     state, _ = initial_assignment(topo, cfg)
     rule = cfg.connectivity_rule
     initial = state.score()
@@ -406,7 +402,6 @@ def run_scheme(topo: Topology, cfg: SchemeConfig) -> Snapshot:
     if cfg.scheme != "bio":
         *_, (_, result) = trajectory(topo, cfg)
         return result
-    check_topology(topo)
     ca, final, feasible = bio_assign(topo, cfg)
     trace = OptimizationTrace(
         metric=cfg.metric,

@@ -21,6 +21,9 @@ from .errors import (
     IncompleteAssignmentError,
     RangeConfigError,
     ValidationError,
+    as_float,
+    is_integer,
+    positive_float,
 )
 
 # A radio is addressed as (node id, radio index); an assignment maps every
@@ -31,9 +34,19 @@ ChannelAssignment = dict[RadioId, int]
 
 @dataclass(frozen=True)
 class Node:
+    """A node id (an int, not a bool) at a position stored as floats."""
+
     id: int
     x: float
     y: float
+
+    def __post_init__(self):
+        if not is_integer(self.id):
+            raise ValidationError(f"node id {self.id!r} is not an integer")
+        # floats, the usual case, are kept as they are
+        if type(self.x) is not float or type(self.y) is not float:
+            object.__setattr__(self, "x", as_float(self.x, "node x"))
+            object.__setattr__(self, "y", as_float(self.y, "node y"))
 
 
 @dataclass(frozen=True)
@@ -41,7 +54,8 @@ class Topology:
     """Node layout plus the radio/range/channel configuration.
 
     interference_x is the X of the 1:X transmission-to-interference ratio,
-    i.e. the interference range is interference_x * tx_range.
+    i.e. the interference range is interference_x * tx_range. Checked once,
+    when built: tx_range is stored as a float and check_topology runs.
     """
 
     nodes: tuple[Node, ...]
@@ -49,6 +63,10 @@ class Topology:
     tx_range: float
     interference_x: int
     channel_count: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "tx_range", as_float(self.tx_range, "tx_range"))
+        check_topology(self)
 
     @property
     def interference_range(self) -> float:
@@ -75,12 +93,14 @@ class RealizedLink:
 
 def check_topology(topo: Topology) -> None:
     """Validate structural invariants; raise ValidationError on violation."""
-    if topo.radios_per_node < 1:
-        raise ValidationError("radios_per_node must be >= 1")
-    if topo.interference_x < 1:
-        raise ValidationError("interference_x must be >= 1")
-    if topo.channel_count < 1:
-        raise ValidationError("channel_count must be >= 1")
+    for name in ("radios_per_node", "interference_x", "channel_count"):
+        value = getattr(topo, name)
+        if not is_integer(value):
+            raise ValidationError(f"{name} {value!r} is not an integer")
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1")
+    if not (isinstance(topo.nodes, tuple) and all(isinstance(n, Node) for n in topo.nodes)):
+        raise ValidationError(f"nodes must be a tuple of Node, got {topo.nodes!r}")
     if not (math.isfinite(topo.tx_range) and topo.tx_range > 0):
         raise ValidationError("tx_range must be finite and > 0")
     if len(topo.nodes) < 1:
@@ -94,18 +114,6 @@ def check_topology(topo: Topology) -> None:
     pts = {(n.x, n.y) for n in topo.nodes}
     if len(pts) != len(topo.nodes):
         raise ValidationError("node positions must be distinct")
-
-
-def _make_topology(nodes, m, tx_range, interference_x, channel_count) -> Topology:
-    topo = Topology(
-        nodes=tuple(sorted(nodes, key=lambda n: n.id)),
-        radios_per_node=int(m),
-        tx_range=float(tx_range),
-        interference_x=int(interference_x),
-        channel_count=int(channel_count),
-    )
-    check_topology(topo)
-    return topo
 
 
 def gen_grid(
@@ -123,10 +131,11 @@ def gen_grid(
     tx_range must satisfy spacing <= tx_range < spacing * sqrt(2) so that
     exactly the orthogonal neighbors are in range.
     """
-    if rows < 1 or cols < 1:
-        raise ValidationError("rows and cols must be >= 1")
-    if spacing <= 0:
-        raise ValidationError("spacing must be > 0")
+    for name, value in (("rows", rows), ("cols", cols)):
+        if not (is_integer(value) and value >= 1):
+            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    spacing = positive_float(spacing, "spacing")
+    tx_range = as_float(tx_range, "tx_range")
     if not (spacing <= tx_range < spacing * math.sqrt(2)):
         raise RangeConfigError(
             f"tx_range {tx_range} must lie in [spacing, spacing*sqrt(2)) = "
@@ -137,7 +146,7 @@ def gen_grid(
         for r in range(rows)
         for c in range(cols)
     ]
-    return _make_topology(nodes, radios_per_node, tx_range, interference_x, channel_count)
+    return Topology(tuple(nodes), radios_per_node, tx_range, interference_x, channel_count)
 
 
 def gen_random(
@@ -156,18 +165,16 @@ def gen_random(
     Deterministic for a given seed. Raises ConnectivityError once the retry
     budget is exhausted.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if width <= 0 or height <= 0:
-        raise ValidationError("area dimensions must be positive")
-    if tx_range <= 0:
-        raise ValidationError("tx_range must be > 0")
+    for name, value in (("n", n), ("max_draws", max_draws)):
+        if not (is_integer(value) and value >= 1):
+            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    width, height = positive_float(width, "width"), positive_float(height, "height")
     rng = random.Random(seed)
     for _ in range(max_draws):
         nodes = [Node(id=i, x=rng.uniform(0, width), y=rng.uniform(0, height)) for i in range(n)]
         if len({(nd.x, nd.y) for nd in nodes}) != n:
             continue
-        topo = _make_topology(nodes, radios_per_node, tx_range, interference_x, channel_count)
+        topo = Topology(tuple(nodes), radios_per_node, tx_range, interference_x, channel_count)
         if is_potential_connected(topo):
             return topo
     raise ConnectivityError(
@@ -417,8 +424,6 @@ def conflict_degrees(inst: CompiledTopology, links: list[list[int]]) -> list[lis
 def links_connected(inst: CompiledTopology, k: list[int]) -> bool:
     """True iff the adjacent pairs with k[p] > 0 realized links connect all nodes."""
     n = len(inst.ids)
-    if n == 0:
-        return True
     seen = [False] * n
     seen[0] = True
     stack = [0]

@@ -92,6 +92,28 @@ MUTANTS = [
             "tests/test_experiment.py::TestSharedTrajectory::test_identical_snapshots_are_scored_once",
         ],
     ),
+    (
+        # True and False are ints, but never a count or an id
+        "src/meshca/errors.py",
+        "return isinstance(value, int) and not isinstance(value, bool)",
+        "return isinstance(value, int)",
+        [
+            f"tests/test_topology.py::test_invalid_field_rejected_when_built[{case}]"
+            for case in ("node-id-bool", "radios-bool", "grid-radios-bool")
+        ],
+    ),
+    (
+        # a Topology is checked where it is built, and nowhere later
+        "src/meshca/topology.py",
+        "        check_topology(self)\n",
+        "        pass\n",
+        [
+            f"tests/test_topology.py::test_invalid_field_rejected_when_built[{case}]"
+            for case in ("nodes-list", "radios-float", "radios-bool", "radios-str",
+                         "coincident-nodes", "grid-radios-float", "grid-radios-bool",
+                         "grid-channels-float", "grid-x-float")
+        ],
+    ),
 ]
 
 

@@ -62,6 +62,17 @@ class TestGen:
         assert code == 1
         assert "tx_range" in err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["grid", "--rows", "2", "--cols", "2", "--spacing", "nan"], "spacing"),
+        (["random", "--n", "5", "--width", "nan"], "width"),
+    ], ids=["grid-spacing", "random-width"])
+    def test_nan_length_names_argument(self, tmp_path, capsys, argv, name):
+        out_file = tmp_path / "g.json"
+        code, _, err = run_cli(capsys, "gen", *argv, "-o", str(out_file))
+        assert code == 1
+        assert err.startswith(f"meshca: error: {name} must be a finite number > 0, got nan")
+        assert not out_file.exists()
+
     def test_random_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

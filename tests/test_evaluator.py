@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -160,6 +161,22 @@ class TestEstimatePerformance:
         flows = [FlowSpec(0, 1, (0, 1)), FlowSpec(0, 0, path)]
         with pytest.raises(ValidationError, match="no hop"):
             estimate_performance(topo, uniform_assignment(topo), flows, 9.0)
+
+    @pytest.mark.parametrize("flow, message", [
+        (FlowSpec(0, 99, (0, 99)), "flow 0->99: path (0, 99) must run"),
+        (FlowSpec(5, 1, (0, 1)), "flow 5->1: path (0, 1) must run"),
+        (FlowSpec(0, 1, (1, 0)), "flow 0->1: path (1, 0) must run"),
+    ], ids=["unknown-node", "wrong-source", "reversed-path"])
+    def test_flow_not_on_the_topology_rejected(self, flow, message):
+        topo = gen_grid(1, 2, 100, 100, 2, 1, 2)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            estimate_performance(topo, uniform_assignment(topo), [flow], 9.0)
+
+    def test_non_adjacent_hop_between_known_nodes_disconnects(self, line3_m1):
+        report = estimate_performance(
+            line3_m1, uniform_assignment(line3_m1), [FlowSpec(0, 2, (0, 2))], 9.0)
+        assert report.flows[0].throughput_mbps == 0.0
+        assert report.disconnected == (0,)
 
     @pytest.mark.parametrize(
         "rate", [0, 0.0, -5.0, float("nan"), float("inf"), float("-inf"), True, "54", None]

@@ -71,9 +71,11 @@ def topologies(draw):
     tx_range = draw(tx_ranges)
     points, (x0, y0) = draw(st.one_of(
         scattered(tx_range), clustered(tx_range), lattice(tx_range), huge(tx_range)))
+    # a Topology's node positions are distinct
+    points = list(dict.fromkeys((x0 + x, y0 + y) for x, y in points))
     ids = draw(st.permutations(range(len(points))))
     return Topology(
-        nodes=tuple(Node(i, x0 + x, y0 + y) for i, (x, y) in zip(ids, points)),
+        nodes=tuple(Node(i, x, y) for i, (x, y) in zip(ids, points)),
         radios_per_node=1,
         tx_range=tx_range,
         interference_x=draw(st.integers(1, 3)),

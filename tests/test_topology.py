@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -33,6 +34,61 @@ def link_counts(topo, ca):
     inst = compile_topology(topo)
     links, k = pair_links(inst, node_histograms(inst, ca))
     return links, k, conflict_degrees(inst, links)
+
+
+def line(**changes) -> Topology:
+    """A valid two-node line, with the given fields changed."""
+    fields = dict(nodes=(Node(0, 0.0, 0.0), Node(1, 100.0, 0.0)), radios_per_node=2,
+                  tx_range=100.0, interference_x=2, channel_count=2)
+    return Topology(**(fields | changes))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Node("1", 0, 0), "node id '1' is not an integer", id="node-id-str"),
+    pytest.param(lambda: Node(True, 0, 0), "node id True is not an integer", id="node-id-bool"),
+    pytest.param(lambda: Node(1, "100", 0), "node x '100' is not a number", id="node-x-str"),
+    pytest.param(lambda: line(nodes=[Node(0, 0, 0), Node(1, 100, 0)]),
+                 "nodes must be a tuple of Node", id="nodes-list"),
+    pytest.param(lambda: line(radios_per_node=2.5), "radios_per_node 2.5 is not an integer",
+                 id="radios-float"),
+    pytest.param(lambda: line(radios_per_node=True), "radios_per_node True is not an integer",
+                 id="radios-bool"),
+    pytest.param(lambda: line(radios_per_node="2"), "radios_per_node '2' is not an integer",
+                 id="radios-str"),
+    pytest.param(lambda: line(nodes=(Node(0, 0, 0), Node(1, 0, 0))),
+                 "node positions must be distinct", id="coincident-nodes"),
+    pytest.param(lambda: gen_grid(2, 2, radios_per_node=2.7),
+                 "radios_per_node 2.7 is not an integer", id="grid-radios-float"),
+    pytest.param(lambda: gen_grid(2, 2, radios_per_node=True),
+                 "radios_per_node True is not an integer", id="grid-radios-bool"),
+    pytest.param(lambda: gen_grid(2, 2, channel_count=3.9),
+                 "channel_count 3.9 is not an integer", id="grid-channels-float"),
+    pytest.param(lambda: gen_grid(2, 2, interference_x=2.5),
+                 "interference_x 2.5 is not an integer", id="grid-x-float"),
+    pytest.param(lambda: gen_grid(2.5, 2), "rows must be an integer >= 1, got 2.5",
+                 id="grid-rows-float"),
+    pytest.param(lambda: gen_grid(2, 2, spacing=math.nan),
+                 "spacing must be a finite number > 0, got nan", id="grid-spacing-nan"),
+    pytest.param(lambda: gen_grid(2, 2, spacing=math.inf),
+                 "spacing must be a finite number > 0, got inf", id="grid-spacing-inf"),
+    pytest.param(lambda: gen_random(5.5, 500, 500), "n must be an integer >= 1, got 5.5",
+                 id="random-n-float"),
+    pytest.param(lambda: gen_random(5, math.nan, 500),
+                 "width must be a finite number > 0, got nan", id="random-width-nan"),
+    pytest.param(lambda: gen_random(5, 500, 500, max_draws=2.5),
+                 "max_draws must be an integer >= 1, got 2.5", id="random-draws-float"),
+])
+def test_invalid_field_rejected_when_built(build, message):
+    # a ValidationError naming the field: no TypeError later, no truncation
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        build()
+
+
+def test_coordinates_and_tx_range_stored_as_floats():
+    topo = gen_grid(1, 2, spacing=100, tx_range=100)
+    assert [type(v) for n in topo.nodes for v in (n.x, n.y)] == [float] * 4
+    assert type(topo.tx_range) is float
+    assert topo == gen_grid(1, 2, spacing=100.0, tx_range=100.0)
 
 
 class TestGenGrid:
