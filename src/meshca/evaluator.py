@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonGridTopologyError, ValidationError, positive_float
+from .errors import NonGridTopologyError, ValidationError, is_integer, positive_float
 from .metrics import LinkState
 from .topology import (
     ChannelAssignment,
@@ -128,8 +128,9 @@ def estimate_performance(
     using it; a flow runs at the minimum over its hops. A flow whose path
     has fewer than two nodes has no hop and is a ValidationError, as is a
     flow whose source and destination are not its path's ends, one whose
-    path names a node the topology lacks, and a phy_rate check_phy_rate
-    rejects.
+    path names a node the topology lacks, one whose payload_bytes is not an
+    int >= 0, and a phy_rate check_phy_rate rejects; so is a topology that is
+    not a Topology (LinkState checks it).
     """
     check_phy_rate(phy_rate)
     state = LinkState(topo, ca)
@@ -143,6 +144,9 @@ def estimate_performance(
         ):
             raise ValidationError(f"flow {flow.source}->{flow.destination}: path {path!r} "
                                   "must run from source to destination over topology nodes")
+        if not is_integer(flow.payload_bytes) or flow.payload_bytes < 0:
+            raise ValidationError(f"flow {flow.source}->{flow.destination}: payload_bytes "
+                                  f"{flow.payload_bytes!r} is not an int >= 0")
     degrees = conflict_degrees(inst, links)
     # every link of one pair on one channel has the same degree, so a hop
     # picks a (pair, channel); its link is the first such radio pair

@@ -22,7 +22,7 @@ from .evaluator import build_grid_flows, check_phy_rate, estimate_performance
 from .metrics import (DIRECTIONS, METRIC_COLUMNS, METRICS, IemScore, all_scores, better,
                       canonical_metric)
 from .optimizer import TRAJECTORY_SCHEMES, SchemeConfig, run_scheme, trajectory
-from .topology import Topology
+from .topology import Topology, require_topology
 
 REPORT_COLUMNS = (
     "scheme",
@@ -66,6 +66,7 @@ class ExperimentConfig:
     bio_budget: int = SchemeConfig.bio_budget
 
     def __post_init__(self):
+        require_topology(self.topology)
         if not (self.schemes and self.metrics and self.phy_rates and self.seeds):
             raise ValidationError("schemes, metrics, phy_rates and seeds must be non-empty")
         self.metrics = tuple(canonical_metric(m) for m in self.metrics)

@@ -42,6 +42,7 @@ from .topology import (
     node_histograms,
     pair_links,
     potential_neighbors,
+    require_topology,
 )
 
 MINIMIZE = "minimize"
@@ -240,6 +241,7 @@ class LinkState:
         metric: str | None = None,
         x: int | None = None,
     ):
+        require_topology(topo)
         check_assignment(topo, ca)
         self.inst = inst = compile_topology(topo)
         self.metric = None if metric is None else canonical_metric(metric)

@@ -39,6 +39,7 @@ from .topology import (
     conflict_degrees,
     potential_neighbors,
     radios,
+    require_topology,
 )
 
 SCHEMES = ("bio", "pio", "ko", "ho")
@@ -399,6 +400,7 @@ def trajectory(topo: Topology, cfg: SchemeConfig):
 
 def run_scheme(topo: Topology, cfg: SchemeConfig) -> Snapshot:
     """Run one scheme end to end and return (assignment, score, trace)."""
+    require_topology(topo)
     if cfg.scheme != "bio":
         *_, (_, result) = trajectory(topo, cfg)
         return result

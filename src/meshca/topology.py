@@ -1,12 +1,10 @@
 """Mesh network model: nodes, radios, ranges and realized links.
 
 A Topology is immutable and hashable. Its geometry (adjacent node pairs,
-interference reach between pairs) is built from a uniform grid of cells,
-so each node is compared only with the nodes of nearby cells. Everything
-derived from a topology lives on its index-based CompiledTopology, and
+interference reach between pairs) comes from one sweep over the nodes in x
+order. Everything derived from a topology lives on its CompiledTopology;
 compile_topology keeps the CACHE_SIZE most recently used ones, so repeated
-scoring of candidate channel assignments stays cheap while memory stays
-bounded.
+scoring of channel assignments stays cheap while memory stays bounded.
 """
 
 from __future__ import annotations
@@ -116,6 +114,12 @@ def check_topology(topo: Topology) -> None:
         raise ValidationError("node positions must be distinct")
 
 
+def require_topology(value) -> None:
+    """Raise ValidationError unless value is a Topology, which checked itself when built."""
+    if not isinstance(value, Topology):
+        raise ValidationError(f"expected a Topology, got {type(value).__name__} {value!r}")
+
+
 def gen_grid(
     rows: int,
     cols: int,
@@ -192,59 +196,34 @@ def gen_random(
 #: computation alternates between, without keeping every mesh it ever saw.
 CACHE_SIZE = 8
 
-#: Cell indices are taken only where |coordinate / cell side| < _MAX_CELL;
-#: there the rounded quotient is within 1/8 of the exact one (see _near).
-_MAX_CELL = 2.0 ** 50
-
 
 def _near(points: list[tuple[float, float]], dist: float) -> list[list[int]]:
-    """near[i]: the indices j, ascending, with math.dist(points[i], points[j]) <= dist.
-
-    Points are bucketed into square cells of side dist, and each is tested
-    only against the points of the 5x5 cells centred on its own. The window
-    is conservative under rounding: two points that pass the test lie at
-    most dist * (1 + 2^-50) apart on each axis, and each quotient
-    coordinate / dist is off by less than 1/8, so their cell indices differ
-    by less than 2 + 1/4 + 2^-50, i.e. by at most 2. A point with a quotient
-    of _MAX_CELL or more (or not finite), and every point when dist is not
-    > 0, gets no cell; it is tested against all points, and every point is
-    tested against it. near[i] holds i itself when points[i] is finite and
-    dist >= 0.
-    """
-    cells: dict[tuple[int, int], list[int]] = {}
-    loose: list[int] = []
-    for i, (x, y) in enumerate(points):
-        if dist > 0:
-            cx, cy = x / dist, y / dist
-            if abs(cx) < _MAX_CELL and abs(cy) < _MAX_CELL:
-                cells.setdefault((math.floor(cx), math.floor(cy)), []).append(i)
-                continue
-        loose.append(i)
-
-    near: list[list[int]] = [[] for _ in points]
-    for (cx, cy), members in cells.items():
-        window = [
-            j
-            for gx in range(cx - 2, cx + 3)
-            for gy in range(cy - 2, cy + 3)
-            for j in cells.get((gx, gy), ())
-        ]
-        window += loose
-        window.sort()
-        for i in members:
-            p = points[i]
-            near[i] = [j for j in window if math.dist(p, points[j]) <= dist]
-    for i in loose:
+    """near[i]: every j, ascending, with math.dist(points[i], points[j]) <= dist, for dist >= 0."""
+    # One sweep in x order: each point against the later ones, up to the first
+    # whose x exceeds its own by more than dist. The stop is exact: math.dist
+    # rounds the norm of the float coordinate differences (sign-symmetric) with
+    # an error below 1 ulp (Python >= 3.10), to a float >= the larger of them,
+    # itself a float, so a point past the stop fails the test; x is sorted, so
+    # every later one does too. An inf difference or dist needs no special case.
+    order = sorted(range(len(points)), key=lambda i: points[i][0])
+    near = [[i] for i in range(len(points))]
+    for a, i in enumerate(order):
         p = points[i]
-        near[i] = [j for j, q in enumerate(points) if math.dist(p, q) <= dist]
-    return near
+        for b in range(a + 1, len(order)):
+            j = order[b]
+            if points[j][0] - p[0] > dist:
+                break
+            if math.dist(p, points[j]) <= dist:
+                near[i].append(j)
+                near[j].append(i)
+    return [sorted(js) for js in near]
 
 
 def adjacent_pairs(topo: Topology) -> tuple[tuple[int, int], ...]:
     """Node pairs within transmission range, canonical (u < v), sorted.
 
-    Built from a cell grid on every call; compile_topology keeps them for
-    the topology (the keys of CompiledTopology.pair_index, in order).
+    Built by a sweep in x order on every call; compile_topology keeps them
+    for the topology (the keys of CompiledTopology.pair_index, in order).
     """
     nodes = sorted(topo.nodes, key=lambda n: n.id)
     near = _near([(n.x, n.y) for n in nodes], topo.tx_range)
@@ -259,8 +238,8 @@ def interfering_pairs(topo: Topology) -> tuple[tuple[int, ...], ...]:
     Pair q is within reach of pair p iff some endpoint of q lies within
     interference_x * tx_range of some endpoint of p (a shared endpoint lies
     at distance 0), so reach[p] is the sorted union of the pairs incident to
-    the nodes near either endpoint of p, without p. Built from a cell grid
-    on every call; CompiledTopology.reach keeps it for the topology.
+    the nodes near either endpoint of p, without p. Built by a sweep in x
+    order on every call; CompiledTopology.reach keeps it for the topology.
     """
     inst = compile_topology(topo)
     near = _near([(n.x, n.y) for n in topo.nodes], topo.interference_range)
@@ -362,7 +341,7 @@ def check_assignment(topo: Topology, ca: ChannelAssignment) -> None:
         raise IncompleteAssignmentError(f"assignment references unknown radio {node}:{radio}")
     for node, radio in rlist:
         ch = ca[(node, radio)]
-        if isinstance(ch, bool) or not isinstance(ch, int) or not (0 <= ch < topo.channel_count):
+        if not is_integer(ch) or not (0 <= ch < topo.channel_count):
             raise IncompleteAssignmentError(
                 f"channel {ch} out of range for radio {node}:{radio} "
                 f"(channel_count {topo.channel_count})"

@@ -50,7 +50,7 @@ MUTANTS = [
     ),
     (
         "src/meshca/topology.py",
-        "if isinstance(ch, bool) or not isinstance(ch, int) or",
+        "if not is_integer(ch) or",
         "if not isinstance(ch, int) or",
         [
             "tests/test_fileio.py::TestConsistency::test_bool_channel_rejected[True]",
@@ -112,6 +112,30 @@ MUTANTS = [
             for case in ("nodes-list", "radios-float", "radios-bool", "radios-str",
                          "coincident-nodes", "grid-radios-float", "grid-radios-bool",
                          "grid-channels-float", "grid-x-float")
+        ],
+    ),
+    (
+        # the sweep stops only past dist: a point exactly dist further along
+        # x, or an inf x difference under an inf range, can still be in range
+        "src/meshca/topology.py",
+        "if points[j][0] - p[0] > dist:",
+        "if points[j][0] - p[0] >= dist:",
+        [
+            "tests/test_geometry.py::test_geometry_edge_cases[interference-range-inf]",
+            "tests/test_geometry.py::test_geometry_edge_cases[lattice-on-the-range]",
+            "tests/test_geometry.py::test_thirty_by_thirty_grid",
+        ],
+    ),
+    (
+        # each pair is found once, from the point earlier in x order, and
+        # goes into both points' lists
+        "src/meshca/topology.py",
+        "                near[j].append(i)\n",
+        "                pass\n",
+        [
+            f"tests/test_geometry.py::test_geometry_edge_cases[{case}]"
+            for case in ("x-difference-overflows", "interference-range-inf",
+                         "shared-x-on-the-range", "lattice-on-the-range")
         ],
     ),
 ]

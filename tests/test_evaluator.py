@@ -172,6 +172,14 @@ class TestEstimatePerformance:
         with pytest.raises(ValidationError, match=re.escape(message)):
             estimate_performance(topo, uniform_assignment(topo), [flow], 9.0)
 
+    @pytest.mark.parametrize("payload", [-5, True, 2.5, "x"])
+    def test_bad_payload_rejected(self, payload):
+        topo = gen_grid(1, 2, 100, 100, 2, 1, 2)
+        flows = [FlowSpec(0, 1, (0, 1)), FlowSpec(1, 0, (1, 0), payload)]
+        message = f"flow 1->0: payload_bytes {payload!r} is not an int >= 0"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            estimate_performance(topo, uniform_assignment(topo), flows, 9.0)
+
     def test_non_adjacent_hop_between_known_nodes_disconnects(self, line3_m1):
         report = estimate_performance(
             line3_m1, uniform_assignment(line3_m1), [FlowSpec(0, 2, (0, 2))], 9.0)

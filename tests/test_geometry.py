@@ -1,15 +1,16 @@
-"""Cell-grid geometry agrees exactly with the brute-force scans, and the
+"""The sweep geometry agrees exactly with the brute-force scans, and the
 per-topology caches stay bounded.
 
 adjacent_pairs and interfering_pairs compare each node only with the nodes
-of nearby grid cells; tests/oracles.py compares every pair of nodes and
-every pair of adjacent pairs. They must agree with ==, also where a
-distance lands exactly on the range and where coordinates are too large
-for a finite cell index.
+after it in x order, up to the first whose x is beyond range; tests/oracles.py
+compares every pair of nodes and every pair of adjacent pairs. They must
+agree with ==, also where a distance lands exactly on the range, where an x
+difference overflows to inf and where the range itself is inf.
 """
 
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,8 +58,9 @@ def lattice(draw, tx_range):
 
 @st.composite
 def huge(draw, tx_range):
-    """Points near and beyond 2^50 cells from the origin, where cell indices
-    lose precision or overflow; some are within range of each other."""
+    """Points 2^49 to 1e20 ranges from the origin, where one ulp of a
+    coordinate is a sizable part of the range or more; some are within
+    range of each other."""
     cells = draw(st.sampled_from([2.0**50, 2.0**50 - 2, 2.0**50 + 2, 2.0**49, 2.0**53, 1e20]))
     base = tx_range * cells
     step = st.integers(-4, 4).map(lambda k: k * tx_range / 2)
@@ -91,7 +93,8 @@ def test_geometry_matches_brute_force(topo):
 
 
 def test_overflowing_cell_index():
-    # 1e308 / 1e-3 is inf: such a node gets no cell and is compared with all
+    # a range of 1e-3 next to x = 1e308: the sweep stops at the far node
+    # without a distance test, and still pairs the two that share an x
     far = Topology(nodes=(Node(0, 1e308, 0.0), Node(1, 0.0, 0.0)), radios_per_node=1,
                    tx_range=1e-3, interference_x=2, channel_count=1)
     assert adjacent_pairs(far) == ()
@@ -105,12 +108,41 @@ def test_overflowing_cell_index():
 
 
 def test_pair_straddling_cell_limit():
-    # one node just below 2^50 cells from the origin, one at it: the first
-    # is bucketed, the second compared with all, and they are adjacent
+    # two nodes 0.5 apart along x, about 2^50 ranges from the origin, in
+    # either id order: the x difference is exact there, and they are adjacent
     for ids in [(0, 1), (1, 0)]:
         topo = Topology(nodes=(Node(ids[0], 2.0**50 - 0.5, 0.0), Node(ids[1], 2.0**50, 0.0)),
                         radios_per_node=1, tx_range=1.0, interference_x=1, channel_count=1)
         assert adjacent_pairs(topo) == ((0, 1),)
+
+
+def _nodes(*points):
+    """Nodes at the given points, ids in reverse point order."""
+    return tuple(Node(len(points) - 1 - i, x, y) for i, (x, y) in enumerate(points))
+
+
+@pytest.mark.parametrize("nodes, tx_range, interference_x", [
+    # -1.7e308 to +1.7e308 overflows to inf; pairs 4-5 and 2-3 reach by distance
+    pytest.param(_nodes((1.7e308, 0.0), (1.7e308, 1.0), (1.7e308, 2.5), (1.7e308, 3.5),
+                        (-1.7e308, 0.0), (-1.7e308, 1.0)),
+                 1.0, 2, id="x-difference-overflows"),
+    # the interference range 2 * 1e308 is inf: every pair reaches every other,
+    # across x differences that overflow to inf too
+    pytest.param(_nodes((-1.5e308, 0.0), (-0.6e308, 0.0), (0.5e308, 0.0), (1.5e308, 0.0),
+                        (1.5e308, 1e308)),
+                 1e308, 2, id="interference-range-inf"),
+    # one x, nodes exactly tx_range apart in y
+    pytest.param(_nodes(*((3.7, 250.0 * k) for k in range(6))), 250.0, 2,
+                 id="shared-x-on-the-range"),
+    # a lattice whose rows and columns are exactly tx_range apart
+    pytest.param(_nodes(*((-250.0 * c, 250.0 * r) for r in range(3) for c in range(3))),
+                 250.0, 1, id="lattice-on-the-range"),
+])
+def test_geometry_edge_cases(nodes, tx_range, interference_x):
+    topo = Topology(nodes=nodes, radios_per_node=1, tx_range=tx_range,
+                    interference_x=interference_x, channel_count=1)
+    assert adjacent_pairs(topo) == tuple(oracles.adjacency(topo))
+    assert interfering_pairs(topo) == oracles.reach(topo)
 
 
 def test_thirty_by_thirty_grid():

@@ -9,14 +9,20 @@ import oracles
 from conftest import make_random_assignment, make_random_topology
 from meshca import (
     ConnectivityError,
+    ExperimentConfig,
     Node,
     RangeConfigError,
+    SchemeConfig,
     Topology,
     ValidationError,
     adjacent_pairs,
+    estimate_performance,
     gen_grid,
     gen_random,
     is_ca_connected,
+    run_experiment,
+    run_scheme,
+    score,
     uniform_assignment,
 )
 from meshca.topology import (
@@ -82,6 +88,21 @@ def test_invalid_field_rejected_when_built(build, message):
     # a ValidationError naming the field: no TypeError later, no truncation
     with pytest.raises(ValidationError, match="^" + re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize("call, got", [
+    pytest.param(lambda: run_experiment(ExperimentConfig(topology={"nodes": []})),
+                 "dict {'nodes': []}", id="experiment"),
+    pytest.param(lambda: run_scheme({"nodes": []}, SchemeConfig()), "dict {'nodes': []}",
+                 id="run-scheme"),
+    pytest.param(lambda: estimate_performance("grid", {(0, 0): 0}, [], 9.0), "str 'grid'",
+                 id="estimate"),
+    pytest.param(lambda: score("tid", None, {(0, 0): 0}), "NoneType None", id="score"),
+])
+def test_non_topology_rejected_where_it_enters(call, got):
+    # a ValidationError naming what came instead, not an AttributeError deep inside
+    with pytest.raises(ValidationError, match="^" + re.escape(f"expected a Topology, got {got}")):
+        call()
 
 
 def test_coordinates_and_tx_range_stored_as_floats():
