@@ -37,8 +37,8 @@ from .fileio import (
     save_trace,
     topology_from_dict,
 )
-from .metrics import METRIC_COLUMNS, METRICS, all_scores
-from .optimizer import CONNECTIVITY_RULES, SCHEMES, SchemeConfig, run_scheme
+from .metrics import CONNECTIVITY_RULES, METRIC_COLUMNS, METRICS, all_scores
+from .optimizer import SCHEMES, SchemeConfig, run_scheme
 from .topology import adjacent_pairs, gen_grid, gen_random
 
 EXIT_OK = 0

@@ -41,8 +41,6 @@ from .topology import (
     links_connected,
     node_histograms,
     pair_links,
-    potential_neighbors,
-    require_topology,
 )
 
 MINIMIZE = "minimize"
@@ -54,6 +52,11 @@ METRICS = ("tid", "cdal", "cxls")
 #: each metric's name in reports (score output, experiment columns); a
 #: report name is also accepted wherever a metric is selected by name
 METRIC_COLUMNS = {"tid": "tid", "cdal": "cdal_cost", "cxls": "cxls_wt"}
+
+#: the connectivity rules a LinkState can be held to: "global" asks that the
+#: linked pairs connect every node, "per-pair" that every adjacent pair keeps
+#: a realized link
+CONNECTIVITY_RULES = ("global", "per-pair")
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,11 @@ def enumerate_xls(topo: Topology, x: int) -> tuple[tuple[int, ...], ...]:
     """All simple x-hop paths of the potential graph, canonical, sorted."""
     if x < 1:
         raise ValidationError("x must be >= 1")
-    nbrs = potential_neighbors(topo)
+    inst = compile_topology(topo)
+    ids = inst.ids
+    # each node's neighbour ids, ascending as incident is; extend refers to
+    # itself, so it lives until a garbage collection and must not hold inst
+    nbrs = {ids[i]: [ids[w] for _, w in inc] for i, inc in enumerate(inst.incident)}
     found: list[tuple[int, ...]] = []
 
     def extend(path: list[int]):
@@ -107,7 +114,7 @@ def enumerate_xls(topo: Topology, x: int) -> tuple[tuple[int, ...], ...]:
                 extend(path)
                 path.pop()
 
-    for start in sorted(nbrs):
+    for start in nbrs:
         extend([start])
     return tuple(sorted(found))
 
@@ -139,6 +146,16 @@ def canonical_metric(metric: str) -> str:
     name = {column: name for name, column in METRIC_COLUMNS.items()}.get(name, name)
     if name not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    return name
+
+
+def canonical_rule(rule: str) -> str:
+    """The connectivity rule named case-blind, lower-cased; one of CONNECTIVITY_RULES."""
+    name = rule.lower() if isinstance(rule, str) else rule
+    if name not in CONNECTIVITY_RULES:
+        raise ValidationError(
+            f"unknown connectivity rule {rule!r}; expected one of {CONNECTIVITY_RULES}"
+        )
     return name
 
 
@@ -230,8 +247,10 @@ class LinkState:
     integer delta, the cxls weights of the paths through the node are
     recomputed when scored and move their total by the difference, and cdal
     is recomputed from the link counts when scored. Every value is
-    bit-identical to a full recompute. Connectivity is rechecked
-    only after an incident pair lost its last link or gained its first.
+    bit-identical to a full recompute. The state is held to one connectivity
+    rule (see CONNECTIVITY_RULES), which feasible() answers; under the global
+    rule connectivity is rechecked only after an incident pair lost its last
+    link or gained its first.
     """
 
     def __init__(
@@ -240,11 +259,12 @@ class LinkState:
         ca: ChannelAssignment,
         metric: str | None = None,
         x: int | None = None,
+        rule: str = "global",
     ):
-        require_topology(topo)
         check_assignment(topo, ca)
         self.inst = inst = compile_topology(topo)
         self.metric = None if metric is None else canonical_metric(metric)
+        self.rule = canonical_rule(rule)
         self.ca = dict(ca)
         self.h = node_histograms(inst, ca)
         self.links, self.k = pair_links(inst, self.h)
@@ -317,15 +337,13 @@ class LinkState:
                 dsum += d
         return total + dsum * dsum
 
-    def connected(self) -> bool:
-        """The global rule: linked pairs connect every node."""
+    def feasible(self) -> bool:
+        """Whether the current assignment meets the state's connectivity rule."""
+        if self.rule == "per-pair":
+            return not self._unlinked
         if self._connected is None:
             self._connected = links_connected(self.inst, self.k)
         return self._connected
-
-    def all_pairs_linked(self) -> bool:
-        """The per-pair rule: every adjacent pair keeps a realized link."""
-        return not self._unlinked
 
     def load_numerators(self) -> list[int]:
         """Each channel's load times unit: pair p adds unit // k[p] per link."""

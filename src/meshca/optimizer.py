@@ -17,35 +17,34 @@ ho >= ko >= pio in the metric's direction by construction. All schemes are
 deterministic given their inputs.
 
 Each run validates its assignment once and keeps it in one
-metrics.LinkState with the run's metric and x: pio/ko/ho build it in
-initial_assignment and every later phase retunes it in place, and bio
-retunes it from each enumerated assignment to the next. A retune updates
-only the link counts of the radio's node and is scored and checked for
-feasibility from them, with the same values a full rescore gives.
+metrics.LinkState with the run's metric, x and connectivity rule: pio/ko/ho
+build it in initial_assignment and every later phase retunes it in place,
+and bio retunes it from each enumerated assignment to the next. A retune
+updates only the link counts of the radio's node and is scored and checked
+for feasibility from them, with the same values a full rescore gives.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import statistics
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ValidationError, is_integer
-from .metrics import MAXIMIZE, IemScore, LinkState, better, canonical_metric
-from .topology import (
-    ChannelAssignment,
-    Topology,
-    conflict_degrees,
-    potential_neighbors,
-    radios,
-    require_topology,
+from .metrics import (
+    CONNECTIVITY_RULES,  # re-exported: the rules SchemeConfig accepts
+    MAXIMIZE,
+    IemScore,
+    LinkState,
+    better,
+    canonical_metric,
+    canonical_rule,
 )
+from .topology import ChannelAssignment, Topology, conflict_degrees, radios, require_topology
 
 SCHEMES = ("bio", "pio", "ko", "ho")
 #: the schemes trajectory() snapshots, in the order it reaches them
 TRAJECTORY_SCHEMES = ("pio", "ko", "ho")
-CONNECTIVITY_RULES = ("global", "per-pair")
 
 
 @dataclass(frozen=True)
@@ -66,14 +65,7 @@ class SchemeConfig:
             raise ValidationError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "metric", canonical_metric(self.metric))
-        rule = self.connectivity_rule
-        rule = rule.lower() if isinstance(rule, str) else rule
-        if rule not in CONNECTIVITY_RULES:
-            raise ValidationError(
-                f"unknown connectivity rule {self.connectivity_rule!r}; "
-                f"expected one of {CONNECTIVITY_RULES}"
-            )
-        object.__setattr__(self, "connectivity_rule", rule)
+        object.__setattr__(self, "connectivity_rule", canonical_rule(self.connectivity_rule))
         for name in ("seed", "max_iterations", "bio_budget"):
             value = getattr(self, name)
             if not is_integer(value):
@@ -112,36 +104,24 @@ class OptimizationTrace:
     def final_score(self) -> float:
         return self.records[-1].score if self.records else self.initial_score
 
-    @property
-    def total_moves(self) -> int:
-        return sum(r.moves for r in self.records)
-
     def scores(self) -> list[float]:
         return [self.initial_score] + [r.score for r in self.records]
 
 
-def _state_ok(state: LinkState, rule: str) -> bool:
-    if rule == "per-pair":
-        return state.all_pairs_linked()
-    return state.connected()
-
-
-def initial_assignment(topo: Topology, cfg: SchemeConfig) -> tuple[LinkState, bool]:
+def initial_assignment(topo: Topology, cfg: SchemeConfig) -> LinkState:
     """Round-robin starting assignment, repaired and optionally perturbed.
 
     Radio r of node v starts on channel (v + r) mod c. A repair pass then
     restores cfg's connectivity rule where the round-robin pattern broke it.
     For cfg.seed > 0, exactly n*m random single-radio retunes are attempted,
-    each kept only if the rule still holds. Returns (state, feasible): the
-    run's LinkState, tracking cfg's metric and x, and whether the rule holds;
-    an unsatisfiable rule is flagged, never raised.
+    each kept only if the rule holds after it. Returns the run's LinkState,
+    held to cfg's metric, x and rule; an unsatisfiable rule leaves it
+    infeasible (state.feasible() is False), never raises.
     """
     c = topo.channel_count
-    rule = cfg.connectivity_rule
-    state = LinkState(
-        topo, {(v, r): (v + r) % c for (v, r) in radios(topo)}, cfg.metric, cfg.x
-    )
-    feasible = _repair(topo, state, rule)
+    start = {(v, r): (v + r) % c for (v, r) in radios(topo)}
+    state = LinkState(topo, start, cfg.metric, cfg.x, cfg.connectivity_rule)
+    _repair(state)
     if cfg.seed > 0:
         rng = random.Random(cfg.seed)
         rlist = radios(topo)
@@ -152,57 +132,48 @@ def initial_assignment(topo: Topology, cfg: SchemeConfig) -> tuple[LinkState, bo
             if new_ch == old_ch:
                 continue
             state.retune(radio, new_ch)
-            if _state_ok(state, rule):
-                feasible = True
-            else:
+            if not state.feasible():
                 state.retune(radio, old_ch)
-    return state, feasible
+    return state
 
 
-def _repair(topo: Topology, state: LinkState, rule: str) -> bool:
-    """Best-effort single repair pass toward the connectivity rule, in place."""
-    if _state_ok(state, rule):
-        return True
-    m = topo.radios_per_node
-    nbrs = potential_neighbors(topo)
-    ca = state.ca
-    pair_index = state.inst.pair_index
+def _repair(state: LinkState) -> None:
+    """Best-effort single repair pass toward the state's connectivity rule, in place."""
+    if state.feasible():
+        return
+    inst, ca, k = state.inst, state.ca, state.k
+    ids = inst.ids
 
-    def have_link(u: int, v: int) -> bool:
-        return state.k[pair_index[(u, v) if u < v else (v, u)]] > 0
-
-    # breadth-first tree pass: give every discovered node a channel in common
-    # with its tree parent, which connects each potential-graph component
-    seen: set[int] = set()
-    for root in sorted(nbrs):
-        if root in seen:
+    # breadth-first tree pass from roots in id order: give every discovered
+    # node a channel in common with its tree parent, which connects each
+    # potential-graph component
+    seen = [False] * len(ids)
+    for _, root in sorted(inst.index.items()):
+        if seen[root]:
             continue
-        seen.add(root)
+        seen[root] = True
         queue = [root]
         while queue:
             u = queue.pop(0)
-            for v in nbrs[u]:
-                if v in seen:
+            for p, v in inst.incident[u]:
+                if seen[v]:
                     continue
-                seen.add(v)
-                if not have_link(u, v):
-                    state.retune((v, 0), ca[(u, 0)])
+                seen[v] = True
+                if not k[p]:
+                    state.retune((ids[v], 0), ca[(ids[u], 0)])
                 queue.append(v)
 
-    if rule == "per-pair":
-        retune_idx: dict[int, int] = {}
-        for (u, v), p in pair_index.items():
-            if not state.k[p]:
-                idx = retune_idx.get(v, 0) % m
+    if state.rule == "per-pair":
+        m = inst.topo.radios_per_node
+        retune_idx = [0] * len(ids)
+        for p, (u, v) in enumerate(inst.pairs):
+            if not k[p]:
+                idx = retune_idx[v] % m
                 retune_idx[v] = idx + 1
-                state.retune((v, idx), ca[(u, 0)])
-
-    return _state_ok(state, rule)
+                state.retune((ids[v], idx), ca[(ids[u], 0)])
 
 
-def improve_sweep(
-    state: LinkState, order: list | tuple, connectivity_rule: str = "global"
-) -> int:
+def improve_sweep(state: LinkState, order: list | tuple) -> int:
     """One coordinate-descent pass over the radios in the given order, in place.
 
     Each radio is retuned to its best-scoring feasible channel under the
@@ -212,12 +183,12 @@ def improve_sweep(
     is taken only when it is score-neutral or better. Returns the number of
     radios moved.
     """
-    cur_feasible = _state_ok(state, connectivity_rule)
+    cur_feasible = state.feasible()
     cur_score = state.score()
     channels = range(state.inst.topo.channel_count)
     moves = 0
     for radio in order:
-        new_score = _best_retune(state, radio, channels, connectivity_rule, cur_score, cur_feasible)
+        new_score = _best_retune(state, radio, channels, cur_score, cur_feasible)
         if new_score is not None:
             cur_score, cur_feasible = new_score, True
             moves += 1
@@ -225,12 +196,12 @@ def improve_sweep(
 
 
 def _best_retune(
-    state: LinkState, radio, channels, rule: str, cur_score: IemScore, keep_current: bool
+    state: LinkState, radio, channels, cur_score: IemScore, keep_current: bool
 ) -> IemScore | None:
     """Move radio to its best candidate channel, in place; return the new score.
 
     Each of channels other than the current one is tried, and the best that
-    keeps the rule satisfied and scores no worse than cur_score wins; ties go
+    keeps the state feasible and scores no worse than cur_score wins; ties go
     to the lowest channel, or to the current one when keep_current. Returns
     None, with the radio back on its channel, when no other channel wins.
     """
@@ -240,7 +211,7 @@ def _best_retune(
         if ch == old_ch:
             continue
         state.retune(radio, ch)
-        if _state_ok(state, rule):
+        if state.feasible():
             cand = state.score()
             if not better(cur_score, cand):  # never worsen the score
                 if best_score is None or better(cand, best_score):
@@ -267,22 +238,25 @@ def eiz_detect(state: LinkState) -> list[int]:
     """Nodes whose interference exceeds mean + one population std.
 
     These are the elevated-interference pockets; sorted by interference
-    descending, ties by node id ascending.
+    descending, ties by node id ascending. The test is exact: over n values
+    with sum S and sum of squares Q, v - S/n > sqrt(Q/n - (S/n)^2) iff
+    d = n*v - S is positive and d^2 > n*Q - S^2.
     """
     values = node_interference(state)
-    vals = list(values.values())
-    threshold = statistics.mean(vals) + statistics.pstdev(vals)
-    hot = [n for n, v in values.items() if v > threshold]
-    return sorted(hot, key=lambda n: (-values[n], n))
+    n = len(values)
+    total = sum(values.values())
+    spread = n * sum(v * v for v in values.values()) - total * total
+    hot = [node for node, v in values.items() if (d := n * v - total) > 0 and d * d > spread]
+    return sorted(hot, key=lambda node: (-values[node], node))
 
 
-def rci_mitigate(state: LinkState, connectivity_rule: str = "global") -> int:
+def rci_mitigate(state: LinkState) -> int:
     """Break up same-channel radios co-located on one node, in place.
 
     One pass per node (ascending id) over its radios in index order: a
     radio on the same channel as a lower-indexed radio of its node is
     retuned to the best-scoring channel the node does not use, considering
-    only retunes that keep the rule satisfied and do not worsen the state's
+    only retunes that keep the state feasible and do not worsen its
     metric, and stays put when none is acceptable. A move only puts a radio
     on a channel new to its node, so the radios before it never change and
     one pass settles the node. Never increases the co-located duplicate
@@ -299,7 +273,7 @@ def rci_mitigate(state: LinkState, connectivity_rule: str = "global") -> int:
             if chans[r] not in chans[:r]:
                 continue
             unused = [ch for ch in range(c) if ch not in chans]
-            new_score = _best_retune(state, (n, r), unused, connectivity_rule, cur_score, False)
+            new_score = _best_retune(state, (n, r), unused, cur_score, False)
             if new_score is not None:
                 cur_score = new_score
                 moves += 1
@@ -318,16 +292,17 @@ def bio_assign(
     assignment is returned with a False flag. Raises BudgetExceededError
     when the space exceeds cfg.bio_budget.
     """
+    require_topology(topo)
     rlist = radios(topo)
     space = topo.channel_count ** len(rlist)
     if space > cfg.bio_budget:
         raise BudgetExceededError(space, cfg.bio_budget)
-    state = LinkState(topo, dict.fromkeys(rlist, 0), cfg.metric, cfg.x)
+    state = LinkState(topo, dict.fromkeys(rlist, 0), cfg.metric, cfg.x, cfg.connectivity_rule)
     best: tuple[bool, IemScore, ChannelAssignment] | None = None
     for combo in itertools.product(range(topo.channel_count), repeat=len(rlist)):
         for radio, ch in zip(rlist, combo):
             state.retune(radio, ch)
-        feasible = _state_ok(state, cfg.connectivity_rule)
+        feasible = state.feasible()
         if best is not None and best[0] and not feasible:
             continue
         s = state.score()
@@ -350,8 +325,8 @@ def trajectory(topo: Topology, cfg: SchemeConfig):
     trace) as of that point: the trace holds the records so far and the
     feasibility there, and is checked to be non-worsening.
     """
-    state, _ = initial_assignment(topo, cfg)
-    rule = cfg.connectivity_rule
+    require_topology(topo)
+    state = initial_assignment(topo, cfg)
     initial = state.score()
     records: list[TraceRecord] = []
     asc_order = radios(topo)
@@ -366,23 +341,23 @@ def trajectory(topo: Topology, cfg: SchemeConfig):
             direction=initial.direction,
             initial_score=initial.value,
             records=list(records),
-            feasible=_state_ok(state, rule),
+            feasible=state.feasible(),
         )
         _check_monotone(trace)
         return dict(state.ca), state.score(), trace
 
-    moves = record(improve_sweep(state, asc_order, rule))
+    moves = record(improve_sweep(state, asc_order))
     yield "pio", snapshot()
     if cfg.scheme == "pio":
         return
     used = 1
     while moves and used < cfg.max_iterations:
-        moves = record(improve_sweep(state, asc_order, rule))
+        moves = record(improve_sweep(state, asc_order))
         used += 1
     yield "ko", snapshot()
     if cfg.scheme == "ko":
         return
-    record(rci_mitigate(state, rule))
+    record(rci_mitigate(state))
 
     def hot_first_order():
         hot = eiz_detect(state)
@@ -393,14 +368,13 @@ def trajectory(topo: Topology, cfg: SchemeConfig):
         return prioritized + rest
 
     for _ in range(cfg.max_iterations - used):
-        if not record(improve_sweep(state, hot_first_order(), rule)):
+        if not record(improve_sweep(state, hot_first_order())):
             break
     yield "ho", snapshot()
 
 
 def run_scheme(topo: Topology, cfg: SchemeConfig) -> Snapshot:
     """Run one scheme end to end and return (assignment, score, trace)."""
-    require_topology(topo)
     if cfg.scheme != "bio":
         *_, (_, result) = trajectory(topo, cfg)
         return result

@@ -261,8 +261,8 @@ class CompiledTopology:
     pairs[p] is adjacent_pairs(topo)[p] as node indices, pair_index maps the
     node-id pair adjacent_pairs(topo)[p] back to p, and incident[i] lists
     (pair index, other node index) for every adjacent pair of node i, in pair
-    order. radios and neighbors are what radios() and potential_neighbors()
-    return. reach is interfering_pairs(topo), built on first use.
+    order, so by ascending id of the other node. radios is what radios()
+    returns. reach is interfering_pairs(topo), built on first use.
     """
 
     topo: Topology
@@ -272,7 +272,6 @@ class CompiledTopology:
     pair_index: dict[tuple[int, int], int]
     incident: tuple[tuple[tuple[int, int], ...], ...]
     radios: tuple[RadioId, ...]
-    neighbors: dict[int, tuple[int, ...]]
 
     @cached_property
     def reach(self) -> tuple[tuple[int, ...], ...]:
@@ -298,20 +297,12 @@ def compile_topology(topo: Topology) -> CompiledTopology:
         pair_index={pair: p for p, pair in enumerate(id_pairs)},
         incident=tuple(tuple(inc) for inc in incident),
         radios=tuple((n.id, r) for n in topo.nodes for r in range(topo.radios_per_node)),
-        neighbors={
-            ids[i]: tuple(sorted(ids[w] for _, w in inc)) for i, inc in enumerate(incident)
-        },
     )
 
 
 def radios(topo: Topology) -> tuple[RadioId, ...]:
     """All radios in (node id, radio index) order, nodes in topology order."""
     return compile_topology(topo).radios
-
-
-def potential_neighbors(topo: Topology) -> dict[int, tuple[int, ...]]:
-    """Each node id's neighbors within transmission range, ascending."""
-    return compile_topology(topo).neighbors
 
 
 def is_potential_connected(topo: Topology) -> bool:
@@ -330,7 +321,9 @@ def check_assignment(topo: Topology, ca: ChannelAssignment) -> None:
     Raises IncompleteAssignmentError naming the first inconsistency, checked
     in canonical radio order: a missing radio, then an unknown radio, then a
     channel that is not an int in [0, channel_count); a bool is not a channel.
+    A topology that is not a Topology is a ValidationError.
     """
+    require_topology(topo)
     rlist = radios(topo)
     for node, radio in rlist:
         if (node, radio) not in ca:

@@ -69,9 +69,9 @@ MUTANTS = [
         """    yield "ko", snapshot()
     if cfg.scheme == "ko":
         return
-    record(rci_mitigate(state, rule))
+    record(rci_mitigate(state))
 """,
-        """    moves = record(rci_mitigate(state, rule))
+        """    moves = record(rci_mitigate(state))
     yield "ko", snapshot()
     if cfg.scheme == "ko":
         return
@@ -137,6 +137,30 @@ MUTANTS = [
             for case in ("x-difference-overflows", "interference-range-inf",
                          "shared-x-on-the-range", "lattice-on-the-range")
         ],
+    ),
+    (
+        # a state held to the per-pair rule answers that rule, not the global one
+        "src/meshca/metrics.py",
+        """        if self.rule == "per-pair":
+            return not self._unlinked
+""",
+        """        if self.rule == "per-pair":
+            pass
+""",
+        [
+            "tests/test_optimizer.py::TestRunScheme::test_per_pair_rule_preserves_every_adjacency",
+            "tests/test_reference_sweep.py::test_bio_matches_full_rescoring[per-pair]",
+            "tests/test_reference_sweep.py::test_rci_mitigate_matches_full_rescoring[3-per-pair]",
+        ],
+    ),
+    (
+        # the repair takes its breadth-first roots in id order, which is not
+        # node order when ids are permuted
+        "src/meshca/optimizer.py",
+        "    for _, root in sorted(inst.index.items()):\n",
+        "    for root in range(len(ids)):\n",
+        [f"tests/test_reference_sweep.py::test_schemes_match_full_rescoring"
+         f"[grid3x3-permuted-{rule}]" for rule in ("global", "per-pair")],
     ),
 ]
 

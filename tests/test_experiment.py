@@ -301,7 +301,7 @@ class TestSharedTrajectory:
         cfg = two_rate_config(schemes=("pio", "ko", "ho"))
         clean = run_experiment(cfg)
 
-        def failing(state, connectivity_rule="global"):
+        def failing(state):
             raise RuntimeError("no cleanup")
 
         monkeypatch.setattr(optimizer, "rci_mitigate", failing)
@@ -328,9 +328,9 @@ class TestSharedTrajectory:
     def test_wall_ms_grows_along_the_trajectory(self, monkeypatch):
         real = optimizer.rci_mitigate
 
-        def slow(state, connectivity_rule="global"):
+        def slow(state):
             time.sleep(0.2)
-            return real(state, connectivity_rule)
+            return real(state)
 
         monkeypatch.setattr(optimizer, "rci_mitigate", slow)
         report = run_experiment(two_rate_config(schemes=("pio", "ko", "ho"), seeds=(1,)))

@@ -5,11 +5,21 @@ retunes. After every move, each incrementally maintained value must equal
 the public full computation with ==, not within a tolerance.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from meshca import Node, Topology, gen_grid, is_ca_connected, radios, score
+from meshca import (
+    Node,
+    Topology,
+    ValidationError,
+    gen_grid,
+    is_ca_connected,
+    radios,
+    score,
+    uniform_assignment,
+)
 from meshca.metrics import LinkState
 
 
@@ -47,22 +57,37 @@ def instances(draw):
     return topo, draw(st.integers(1, 3)), ca, moves
 
 
+def feasible(topo, ca, rule):
+    """The connectivity rule from its definition."""
+    if rule == "per-pair":
+        return oracles.all_pairs_linked(topo, ca)
+    return is_ca_connected(topo, ca)
+
+
 @settings(max_examples=300, deadline=None)
 @given(instances())
 def test_incremental_state_matches_full_recompute(instance):
     topo, x, ca, moves = instance
-    states = [LinkState(topo, ca, metric, x) for metric in ("tid", "cdal", "cxls")]
+    states = [LinkState(topo, ca, metric, x, rule) for metric, rule in
+              (("tid", "global"), ("cdal", "per-pair"), ("cxls", "global"))]
     # scored and checked only once, after all moves: stale path weights and
     # a cached connectivity flag must catch up over many moves at once
-    deferred = LinkState(topo, ca, "cxls", x)
+    deferred = [LinkState(topo, ca, "cxls", x, rule) for rule in ("global", "per-pair")]
     for radio, ch in moves:
-        deferred.retune(radio, ch)
+        for state in deferred:
+            state.retune(radio, ch)
         for state in states:
             state.retune(radio, ch)
-            assert state.ca == deferred.ca
+            assert state.ca == deferred[0].ca
             assert state.score() == score(state.metric, topo, state.ca, x)
-            assert state.connected() == is_ca_connected(topo, state.ca)
-            assert state.all_pairs_linked() == oracles.all_pairs_linked(topo, state.ca)
-    assert deferred.score() == score("cxls", topo, deferred.ca, x)
-    assert deferred.connected() == is_ca_connected(topo, deferred.ca)
-    assert deferred.all_pairs_linked() == oracles.all_pairs_linked(topo, deferred.ca)
+            assert state.feasible() == feasible(topo, state.ca, state.rule)
+    for state in deferred:
+        assert state.score() == score("cxls", topo, state.ca, x)
+        assert state.feasible() == feasible(topo, state.ca, state.rule)
+
+
+@pytest.mark.parametrize("rule", ["loose", "", None, 1])
+def test_unknown_rule_rejected(rule):
+    topo = gen_grid(1, 2, 100, 100)
+    with pytest.raises(ValidationError, match="unknown connectivity rule"):
+        LinkState(topo, uniform_assignment(topo), rule=rule)

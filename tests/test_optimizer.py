@@ -1,8 +1,10 @@
 import random
 import statistics
+from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -74,22 +76,22 @@ class TestInitialAssignment:
     def test_line_repairs_to_common_channel(self, line3_m1):
         # round robin gives 0,1,0 which is fully disconnected; the repair
         # pass must restore a single shared channel
-        state, feasible = initial_assignment(line3_m1, SchemeConfig(seed=0))
-        assert feasible
+        state = initial_assignment(line3_m1, SchemeConfig(seed=0))
+        assert state.feasible()
         assert set(state.ca.values()) == {0}
 
     def test_single_channel(self):
         topo = gen_grid(2, 2, 100, 100, 2, 2, 1)
-        state, feasible = initial_assignment(topo, SchemeConfig(seed=5))
-        assert feasible
+        state = initial_assignment(topo, SchemeConfig(seed=5))
+        assert state.feasible()
         assert set(state.ca.values()) == {0}
 
     def test_deterministic(self):
         topo = gen_grid(3, 3, 100, 100, 2, 2, 3)
 
         def start(seed):
-            state, feasible = initial_assignment(topo, SchemeConfig(seed=seed))
-            return state.ca, feasible
+            state = initial_assignment(topo, SchemeConfig(seed=seed))
+            return state.ca, state.feasible()
 
         assert start(9) == start(9)
         assert start(9) != start(4)
@@ -97,8 +99,8 @@ class TestInitialAssignment:
     def test_respects_rule(self):
         topo = gen_grid(3, 3, 100, 100, 2, 2, 3)
         for seed in range(6):
-            state, feasible = initial_assignment(topo, SchemeConfig(seed=seed))
-            assert feasible and is_ca_connected(topo, state.ca)
+            state = initial_assignment(topo, SchemeConfig(seed=seed))
+            assert state.feasible() and is_ca_connected(topo, state.ca)
 
 
 class TestImproveSweep:
@@ -191,6 +193,20 @@ class TestEizDetect:
                          key=lambda n: (-sums[n], n))
             assert eiz_detect(state) == hot
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 50) | st.integers(2**53 - 4, 2**53 + 4)
+                    | st.integers(0, 2**64), min_size=1, max_size=8))
+    @example([2**53, 2**53 + 1])  # mean + pstdev rounds to 2**53 in floats
+    def test_threshold_is_exact(self, vals):
+        # v > mean + sqrt(variance) iff v > mean and (v - mean)^2 > variance
+        values = dict(enumerate(vals))
+        mean = Fraction(sum(vals), len(vals))
+        variance = sum((v - mean) ** 2 for v in vals) / len(vals)
+        hot = sorted((n for n, v in values.items() if v > mean and (v - mean) ** 2 > variance),
+                     key=lambda n: (-values[n], n))
+        with mock.patch.object(optimizer, "node_interference", lambda state: values):
+            assert eiz_detect(None) == hot
+
 
 class TestRciMitigate:
     def test_colocated_count_matches_radio_pair_loop(self):
@@ -258,7 +274,7 @@ class TestRunScheme:
         for metric in ("tid", "cdal", "cxls"):
             ca, _, trace = run_scheme(topo, SchemeConfig(scheme="ho", metric=metric))
             assert set(ca.values()) == {0}
-            assert trace.total_moves == 0
+            assert sum(r.moves for r in trace.records) == 0
 
     def test_ho_within_bio_bracket(self, line3_m2_c3):
         _, ho, _ = run_scheme(line3_m2_c3, SchemeConfig(scheme="ho", metric="cxls", seed=0))
@@ -316,8 +332,8 @@ class TestRunScheme:
 
     def test_per_pair_at_least_as_strict_as_global(self, line3_m1):
         cfg = SchemeConfig(seed=0, connectivity_rule="per-pair")
-        state, feasible = initial_assignment(line3_m1, cfg)
-        assert feasible
+        state = initial_assignment(line3_m1, cfg)
+        assert state.feasible()
         assert set(state.ca.values()) == {0}
 
     @pytest.mark.parametrize("metric", ["tid", "cdal", "cxls"])

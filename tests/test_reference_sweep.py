@@ -18,7 +18,9 @@ import pytest
 import oracles
 from conftest import line_with_stray_node
 from meshca import (
+    Node,
     SchemeConfig,
+    Topology,
     TraceRecord,
     better,
     bio_assign,
@@ -31,7 +33,7 @@ from meshca import (
     score,
 )
 from meshca.metrics import LinkState
-from meshca.topology import adjacent_pairs, potential_neighbors
+from meshca.topology import adjacent_pairs
 
 
 def rule_ok(topo, ca, rule):
@@ -45,7 +47,10 @@ def ref_repair(topo, ca, rule):
     if rule_ok(topo, ca, rule):
         return ca, True
     m = topo.radios_per_node
-    nbrs = potential_neighbors(topo)
+    nbrs = {n.id: [] for n in topo.nodes}
+    for u, v in oracles.adjacency(topo):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
 
     def have_link(u, v):
         return any(ca[(v, r)] in {ca[(u, q)] for q in range(m)} for r in range(m))
@@ -58,7 +63,7 @@ def ref_repair(topo, ca, rule):
         queue = [root]
         while queue:
             u = queue.pop(0)
-            for v in nbrs[u]:
+            for v in sorted(nbrs[u]):
                 if v not in seen:
                     seen.add(v)
                     if not have_link(u, v):
@@ -229,8 +234,20 @@ def outcome(result):
     return (ca, final, trace.initial_score, trace.records, trace.feasible)
 
 
+def permuted_grid() -> Topology:
+    """A 3x3 grid (2 radios, 4 channels) whose node ids are shuffled, so node
+    order is not id order and the round-robin start breaks both rules."""
+    grid = gen_grid(3, 3, 250, 250, 2, 2, 4)
+    ids = list(range(len(grid.nodes)))
+    random.Random(5).shuffle(ids)
+    nodes = tuple(Node(ids[n.id], n.x, n.y) for n in grid.nodes)
+    return Topology(nodes, grid.radios_per_node, grid.tx_range, grid.interference_x,
+                    grid.channel_count)
+
+
 TOPOLOGIES = {
     "grid4x4": gen_grid(4, 4, 250, 250, 2, 2, 3),
+    "grid3x3-permuted": permuted_grid(),
     "random8": gen_random(8, 500, 500, 250, 2, 2, 3, seed=3),
     "random9x3": gen_random(9, 600, 600, 250, 2, 3, 4, seed=11),
 }
@@ -282,8 +299,8 @@ def test_rci_mitigate_matches_full_rescoring(m, rule):
                         rng.randint(2, m + 1))
         ca = {radio: rng.randrange(topo.channel_count) for radio in radios(topo)}
         for metric in ("tid", "cdal", "cxls"):
-            state = LinkState(topo, ca, metric)
-            moves = rci_mitigate(state, rule)
+            state = LinkState(topo, ca, metric, rule=rule)
+            moves = rci_mitigate(state)
             expected = ref_rci_mitigate(topo, ca, metric, rule)
             assert state.ca == expected, metric
             assert moves == sum(ca[radio] != expected[radio] for radio in ca)

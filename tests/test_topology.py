@@ -16,6 +16,8 @@ from meshca import (
     Topology,
     ValidationError,
     adjacent_pairs,
+    bio_assign,
+    check_assignment,
     estimate_performance,
     gen_grid,
     gen_random,
@@ -25,13 +27,13 @@ from meshca import (
     score,
     uniform_assignment,
 )
+from meshca.optimizer import trajectory
 from meshca.topology import (
     compile_topology,
     conflict_degrees,
     is_potential_connected,
     node_histograms,
     pair_links,
-    potential_neighbors,
 )
 
 
@@ -98,6 +100,14 @@ def test_invalid_field_rejected_when_built(build, message):
     pytest.param(lambda: estimate_performance("grid", {(0, 0): 0}, [], 9.0), "str 'grid'",
                  id="estimate"),
     pytest.param(lambda: score("tid", None, {(0, 0): 0}), "NoneType None", id="score"),
+    pytest.param(lambda: is_ca_connected({"nodes": []}, {}), "dict {'nodes': []}",
+                 id="is-ca-connected"),
+    pytest.param(lambda: check_assignment({"nodes": []}, {}), "dict {'nodes': []}",
+                 id="check-assignment"),
+    pytest.param(lambda: bio_assign({"nodes": []}, SchemeConfig(scheme="bio")),
+                 "dict {'nodes': []}", id="bio-assign"),
+    pytest.param(lambda: list(trajectory({"nodes": []}, SchemeConfig())), "dict {'nodes': []}",
+                 id="trajectory"),
 ])
 def test_non_topology_rejected_where_it_enters(call, got):
     # a ValidationError naming what came instead, not an AttributeError deep inside
@@ -138,8 +148,8 @@ class TestGenGrid:
 
     def test_degree_structure(self):
         topo = gen_grid(4, 5, 100, 100, 2, 1, 2)
-        nbrs = potential_neighbors(topo)
-        degs = sorted(len(nbrs[n.id]) for n in topo.nodes)
+        ends = Counter(node for pair in adjacent_pairs(topo) for node in pair)
+        degs = sorted(ends[n.id] for n in topo.nodes)
         corners = [d for d in degs if d == 2]
         edges = [d for d in degs if d == 3]
         interior = [d for d in degs if d == 4]
